@@ -5,15 +5,32 @@ import (
 )
 
 // TestIOPathAllocs pins the foreground I/O path's allocation behavior:
-// after warm-up, full-span reads and writes — with and without
-// checksums — run without heap allocation. The pooled pieces this
-// guards: span slices (SplitAppend + spanPool), checksum slot buffers
-// (slotPool), and unit scratch (bufpool). A regression in any of them
-// shows up here as a nonzero allocs/op long before it shows up as GC
-// pressure in a throughput benchmark.
+// after warm-up, reads and writes — with and without checksums — run
+// without heap allocation in every mode whose write path differs:
+// RAID 0 full spans, RAID 5 sub-unit read-modify-writes, RAID 6 and
+// AFRAID6 (defer Q) double-parity read-modify-writes, and AFRAID
+// multi-extent spans. The pooled pieces this guards: span slices
+// (SplitAppend + spanPool), checksum slot buffers (slotPool), unit
+// scratch (bufpool), and the fan-out batch (request slots + WaitGroup
+// in the pooled stripeBuf). A regression in any of them shows up here
+// as a nonzero allocs/op long before it shows up as GC pressure in a
+// throughput benchmark.
 func TestIOPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds bookkeeping allocations")
+	}
+	// Both test geometries have four data disks of testUnit each.
+	cases := []struct {
+		name    string
+		mode    Mode
+		six     bool // open with openTest6 (4 data + P + Q)
+		off, ln int64
+	}{
+		{"raid0-full-span", Raid0, false, 0, 4 * testUnit},
+		{"raid5-sub-unit-rmw", Raid5, false, testUnit / 4, testUnit / 2},
+		{"raid6-sub-unit-rmw", Raid6, true, testUnit / 4, testUnit / 2},
+		{"afraid6-defer-q-rmw", Afraid6, true, testUnit / 4, testUnit / 2},
+		{"afraid-multi-extent", Afraid, false, testUnit / 4, 4 * testUnit},
 	}
 	for _, checksums := range []bool{false, true} {
 		name := "checksums=off"
@@ -21,30 +38,39 @@ func TestIOPathAllocs(t *testing.T) {
 			name = "checksums=on"
 		}
 		t.Run(name, func(t *testing.T) {
-			s, _ := openTest(t, Options{Mode: Raid0, DisableScrubber: true, Checksums: checksums})
-			defer s.Close()
-			span := s.Geometry().StripeDataBytes()
-			buf := make([]byte, span)
-			for i := 0; i < 16; i++ { // warm the pools
-				if _, err := s.WriteAt(buf, 0); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.ReadAt(buf, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			writes := testing.AllocsPerRun(100, func() {
-				if _, err := s.WriteAt(buf, 0); err != nil {
-					t.Fatal(err)
-				}
-			})
-			reads := testing.AllocsPerRun(100, func() {
-				if _, err := s.ReadAt(buf, 0); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if writes >= 1 || reads >= 1 {
-				t.Fatalf("steady-state I/O allocates (write %.1f, read %.1f allocs/op); pooled buffers regressed", writes, reads)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					opts := Options{Mode: tc.mode, DisableScrubber: true, Checksums: checksums}
+					var s *Store
+					if tc.six {
+						s, _ = openTest6(t, opts)
+					} else {
+						s, _ = openTest(t, opts)
+					}
+					defer s.Close()
+					buf := make([]byte, tc.ln)
+					for i := 0; i < 16; i++ { // warm the pools (and mark the stripe once)
+						if _, err := s.WriteAt(buf, tc.off); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := s.ReadAt(buf, tc.off); err != nil {
+							t.Fatal(err)
+						}
+					}
+					writes := testing.AllocsPerRun(100, func() {
+						if _, err := s.WriteAt(buf, tc.off); err != nil {
+							t.Fatal(err)
+						}
+					})
+					reads := testing.AllocsPerRun(100, func() {
+						if _, err := s.ReadAt(buf, tc.off); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if writes >= 1 || reads >= 1 {
+						t.Fatalf("steady-state I/O allocates (write %.1f, read %.1f allocs/op); pooled buffers regressed", writes, reads)
+					}
+				})
 			}
 		})
 	}

@@ -362,13 +362,9 @@ func (s *Store) repairUnit5(stripe int64, disk int) error {
 	if dirty || dead >= 0 {
 		return csumLossError(stripe, disk)
 	}
-	if err := s.readStripeUnits(sb, stripe, disk, -1); err != nil {
-		if errors.Is(err, ErrChecksumMismatch) {
-			return csumLossError(stripe, disk)
-		}
-		return err
-	}
-	if err := s.devRead(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
+	s.queueStripeUnits(sb, stripe, disk, -1)
+	sb.queueRead(s.geo.ParityDisk(stripe), sb.p, off)
+	if err := s.fanOut(sb); err != nil {
 		if errors.Is(err, ErrChecksumMismatch) {
 			return csumLossError(stripe, disk)
 		}
@@ -481,10 +477,10 @@ func (s *Store) repairUnit6(stripe int64, disk int) error {
 
 // resyncParity rebuilds a stripe's parity from its at-rest data units.
 // The write-span retry loop calls it after a mismatch repair: the
-// interrupted attempt's delta read-modify-write may have applied its
-// parity delta on some parity disks but not others before the corrupt
+// interrupted read-modify-write issues its data and parity writes
+// together, so any subset of them may have landed when the corrupt
 // unit surfaced, and repairUnitLocked recomputes only the corrupt
-// element — leaving the untouched parity holding a delta for data that
+// element — possibly leaving a parity holding a delta for data that
 // never landed, under a perfectly valid checksum. Rebuilding from data
 // restores the invariant the retried delta update relies on: at-rest
 // parity encodes at-rest data. Dirty stripes are skipped (their parity

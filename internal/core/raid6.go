@@ -103,10 +103,9 @@ func (s *Store) materialize6(sb *stripeBuf, stripe int64, dead []int, pFresh, qF
 		return true, nil
 
 	case len(missing) == 2 && pAvail && qAvail:
-		if err := s.devRead(pDisk, sb.p, off); err != nil {
-			return false, err
-		}
-		if err := s.devRead(qDisk, sb.q, off); err != nil {
+		sb.queueRead(pDisk, sb.p, off)
+		sb.queueRead(qDisk, sb.q, off)
+		if err := s.fanOut(sb); err != nil {
 			return false, err
 		}
 		surv := make(map[int][]byte, len(sb.units)-2)
@@ -131,15 +130,13 @@ func (s *Store) readSpan6(p []byte, base int64, sp layout.StripeSpan) error {
 	s.meta.Unlock()
 	pFresh, qFresh := s.parityFresh(dirty)
 
-	isDead := func(d int) bool {
-		for _, x := range dead {
-			if x == d {
-				return true
-			}
-		}
-		return false
+	degraded := false
+	for _, d := range dead {
+		degraded = degraded || onDisk(sp, d)
 	}
-
+	if !degraded {
+		return s.spanIO(p, base, sp, false)
+	}
 	var sb *stripeBuf // lazily materialized
 	defer func() {
 		if sb != nil {
@@ -148,7 +145,7 @@ func (s *Store) readSpan6(p []byte, base int64, sp layout.StripeSpan) error {
 	}()
 	for _, e := range sp.Extents {
 		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if !isDead(e.Disk) {
+		if !containsInt(dead, e.Disk) {
 			if err := s.devRead(e.Disk, dst, e.DiskOff); err != nil {
 				return err
 			}
@@ -239,37 +236,26 @@ func (s *Store) writeSpanSync6(p []byte, base int64, sp layout.StripeSpan, withP
 }
 
 // rmwExtent6 is one extent's double-parity read-modify-write. The old
-// data, old P, and old Q ranges live on three different disks; two
-// reads go to the I/O workers while this goroutine does the third, and
-// all scratch comes from the stripe-buffer pool.
+// data, old P, and old Q ranges live on three different disks and are
+// read in one fan-out; the new data and parities are written in
+// another. All scratch comes from the stripe-buffer pool.
 func (s *Store) rmwExtent6(stripe int64, e layout.Extent, src []byte, withP, withQ bool) error {
 	pDisk := s.geo.ParityDisk(stripe)
 	qDisk := s.geo.QDisk(stripe)
 	rangeOff := s.geo.DiskOffset(stripe) + e.UnitOff
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	sb.errs[0], sb.errs[1] = nil, nil
 	old := sb.units[0][:e.Len]
-	s.devReadAsync(e.Disk, old, e.DiskOff, &sb.errs[0], &sb.wg)
-	var par, q []byte
+	par, q := sb.p[:e.Len], sb.q[:e.Len]
+	sb.queueRead(e.Disk, old, e.DiskOff)
 	if withP {
-		par = sb.p[:e.Len]
-		s.devReadAsync(pDisk, par, rangeOff, &sb.errs[1], &sb.wg)
+		sb.queueRead(pDisk, par, rangeOff)
 	}
-	var qerr error
 	if withQ {
-		q = sb.q[:e.Len]
-		qerr = s.devRead(qDisk, q, rangeOff)
+		sb.queueRead(qDisk, q, rangeOff)
 	}
-	sb.wg.Wait()
-	if sb.errs[0] != nil {
-		return sb.errs[0]
-	}
-	if sb.errs[1] != nil {
-		return sb.errs[1]
-	}
-	if qerr != nil {
-		return qerr
+	if err := s.fanOut(sb); err != nil {
+		return err
 	}
 	pt := time.Now()
 	if withP {
@@ -279,17 +265,14 @@ func (s *Store) rmwExtent6(stripe int64, e layout.Extent, src []byte, withP, wit
 		parity.UpdateQ(q, old, src, e.DataIdx)
 	}
 	s.observeParity(pt)
+	sb.queueWrite(e.Disk, src, e.DiskOff)
 	if withP {
-		if err := s.devWrite(pDisk, par, rangeOff); err != nil {
-			return err
-		}
+		sb.queueWrite(pDisk, par, rangeOff)
 	}
 	if withQ {
-		if err := s.devWrite(qDisk, q, rangeOff); err != nil {
-			return err
-		}
+		sb.queueWrite(qDisk, q, rangeOff)
 	}
-	return s.devWrite(e.Disk, src, e.DiskOff)
+	return s.fanOut(sb)
 }
 
 // writeSpanDegraded6 rewrites the stripe image around failed disks,
@@ -319,68 +302,41 @@ func (s *Store) writeSpanDegraded6(p []byte, base int64, sp layout.StripeSpan, d
 }
 
 // storeStripeImage6 writes back data and recomputed parities to every
-// surviving disk; with both parity disks alive the stripe ends fully
-// redundant and is unmarked. A dead disk's unit (data, P, or Q) is
-// mirrored onto an in-progress replacement once the repair sweep has
-// passed this stripe — see storeStripeImage.
+// surviving disk in one fan-out; with both parity disks alive the
+// stripe ends fully redundant and is unmarked. A dead disk's unit
+// (data, P, or Q) is mirrored onto an in-progress replacement once the
+// repair sweep has passed this stripe — see storeStripeImage.
 func (s *Store) storeStripeImage6(stripe int64, sb *stripeBuf, dead []int, wasDirty bool) error {
-	isDead := func(d int) bool {
-		for _, x := range dead {
-			if x == d {
-				return true
-			}
-		}
-		return false
-	}
-	mirror := func(d int, buf []byte, off int64) error {
-		if rd := s.repairTarget(stripe, d); rd != nil {
-			if _, err := rd.WriteAt(buf, off); err != nil {
-				return fmt.Errorf("core: repair mirror write: %w", err)
-			}
-			if err := s.putChecksumTo(rd, stripe, buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	off := s.geo.DiskOffset(stripe)
-	for i, u := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if isDead(d) {
-			if err := mirror(d, u, off); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.devWrite(d, u, off); err != nil {
-			return err
-		}
-	}
 	pt := time.Now()
 	parity.ComputePQ(sb.p, sb.q, sb.units...)
 	s.observeParity(pt)
 	pDisk := s.geo.ParityDisk(stripe)
 	qDisk := s.geo.QDisk(stripe)
-	pWritten, qWritten := false, false
-	if !isDead(pDisk) {
-		if err := s.devWrite(pDisk, sb.p, off); err != nil {
+	put := func(d int, buf []byte) error {
+		if containsInt(dead, d) {
+			return s.mirrorUnit(stripe, d, buf, off)
+		}
+		sb.queueWrite(d, buf, off)
+		return nil
+	}
+	for i, u := range sb.units {
+		if err := put(s.geo.DataDisk(stripe, i), u); err != nil {
 			return err
 		}
-		pWritten = true
-	} else if err := mirror(pDisk, sb.p, off); err != nil {
+	}
+	if err := put(pDisk, sb.p); err != nil {
 		return err
 	}
-	if !isDead(qDisk) {
-		if err := s.devWrite(qDisk, sb.q, off); err != nil {
-			return err
-		}
-		qWritten = true
-	} else if err := mirror(qDisk, sb.q, off); err != nil {
+	if err := put(qDisk, sb.q); err != nil {
+		return err
+	}
+	if err := s.fanOut(sb); err != nil {
 		return err
 	}
 	// The stripe is fully fresh only if both live parities were
 	// rewritten; a dead parity disk gets its copy at repair time.
-	if wasDirty && pWritten && qWritten {
+	if wasDirty && !containsInt(dead, pDisk) && !containsInt(dead, qDisk) {
 		s.meta.Lock()
 		s.marks.Unmark(stripe)
 		s.dropQuarantine(stripe)
@@ -407,10 +363,9 @@ func (s *Store) rebuildParity6(stripe int64) error {
 	pt := time.Now()
 	parity.ComputePQ(sb.p, sb.q, sb.units...)
 	s.observeParity(pt)
-	if err := s.devWrite(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-		return fmt.Errorf("core: scrub: %w", err)
-	}
-	if err := s.devWrite(s.geo.QDisk(stripe), sb.q, off); err != nil {
+	sb.queueWrite(s.geo.ParityDisk(stripe), sb.p, off)
+	sb.queueWrite(s.geo.QDisk(stripe), sb.q, off)
+	if err := s.fanOut(sb); err != nil {
 		return fmt.Errorf("core: scrub: %w", err)
 	}
 	return nil
@@ -421,13 +376,10 @@ func (s *Store) checkStripe6(sb *stripeBuf, stripe int64) (bool, error) {
 	off := s.geo.DiskOffset(stripe)
 	lk := s.stripeLock(stripe)
 	lk.Lock()
-	err := s.readStripeUnits(sb, stripe, -1, -1)
-	if err == nil {
-		err = s.devRead(s.geo.ParityDisk(stripe), sb.p, off)
-	}
-	if err == nil {
-		err = s.devRead(s.geo.QDisk(stripe), sb.q, off)
-	}
+	s.queueStripeUnits(sb, stripe, -1, -1)
+	sb.queueRead(s.geo.ParityDisk(stripe), sb.p, off)
+	sb.queueRead(s.geo.QDisk(stripe), sb.q, off)
+	err := s.fanOut(sb)
 	lk.Unlock()
 	if err != nil {
 		return false, err

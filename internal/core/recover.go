@@ -300,11 +300,10 @@ func (s *Store) repairStripe(stripe int64, dead int, replacement BlockDevice, un
 
 	case !dirty:
 		// Clean stripe, lost data unit: exact reconstruction.
-		if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
+		s.queueStripeUnits(sb, stripe, dead, -1)
+		sb.queueRead(s.geo.ParityDisk(stripe), sb.p, off)
+		if err := s.fanOut(sb); err != nil {
 			return fmt.Errorf("core: repair: %w", err)
-		}
-		if err := s.devRead(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-			return err
 		}
 		lost := sb.units[dataIdx]
 		parity.Reconstruct(lost, sb.p, sb.survivors(dataIdx)...)

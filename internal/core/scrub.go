@@ -629,10 +629,9 @@ func (s *Store) CheckParity() ([]int64, error) {
 func (s *Store) checkStripe(sb *stripeBuf, stripe int64) (bool, error) {
 	lk := s.stripeLock(stripe)
 	lk.Lock()
-	err := s.readStripeUnits(sb, stripe, -1, -1)
-	if err == nil {
-		err = s.devRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
-	}
+	s.queueStripeUnits(sb, stripe, -1, -1)
+	sb.queueRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
+	err := s.fanOut(sb)
 	lk.Unlock()
 	if err != nil {
 		return false, err

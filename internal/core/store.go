@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"afraid/internal/layout"
@@ -193,8 +194,9 @@ type Store struct {
 
 	locks [64]sync.Mutex // stripe lock pool (stripe % 64)
 
-	sbPool sync.Pool  // *stripeBuf arena (stripebuf.go)
-	ioCh   chan ioReq // unbuffered hand-off to the I/O workers
+	sbPool sync.Pool    // *stripeBuf arena (stripebuf.go)
+	ioCh   chan *ioReq  // unbuffered hand-off to the I/O workers
+	ioIdle atomic.Int32 // I/O workers not serving a request (see devAsync)
 
 	ob   *storeObs
 	kick chan struct{} // pressure-valve handoff to scrubLoop (capacity 1)
@@ -261,20 +263,23 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		lastIO:     time.Now(),
 		claimed:    make(map[int64]bool),
 		quarantine: make(map[int64]bool),
-		ioCh:       make(chan ioReq),
+		ioCh:       make(chan *ioReq),
 		ob:         newStoreObs(),
 		kick:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		policy:     make([]StripePolicy, geo.Stripes()),
 	}
 	s.gcCond = sync.NewCond(&s.meta)
-	// I/O workers serve the per-disk unit reads fanned out by stripe
-	// rebuilds, degraded reads, and parity checks. Enough for every
-	// drain worker to have a whole stripe's reads in flight at once.
+	// I/O workers serve the member reads and writes that fanOut issues
+	// side by side: read-modify-write reads and writes, multi-extent
+	// spans, stripe-image write-backs, stripe rebuilds, degraded reads,
+	// and parity checks. Enough for every drain worker to have a whole
+	// stripe's I/O in flight at once.
 	ioN := len(devs) * s.scrubWorkers()
 	if ioN > 32 {
 		ioN = 32
 	}
+	s.ioIdle.Store(int32(ioN))
 	for i := 0; i < ioN; i++ {
 		s.wg.Add(1)
 		go s.ioWorker()
@@ -622,6 +627,9 @@ func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	pol := s.effectivePolicy(sp.Stripe)
 	s.meta.Unlock()
 
+	if !onDisk(sp, dead) {
+		return s.spanIO(p, base, sp, false)
+	}
 	for _, e := range sp.Extents {
 		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
 		if e.Disk != dead {
@@ -644,40 +652,57 @@ func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	return nil
 }
 
+// onDisk reports whether any of the span's extents lives on disk d.
+func onDisk(sp layout.StripeSpan, d int) bool {
+	for _, e := range sp.Extents {
+		if e.Disk == d {
+			return true
+		}
+	}
+	return false
+}
+
+// spanIO reads (or writes) a span's data extents in place. A span's
+// extents lie on distinct data disks of one stripe, so they go out as
+// one fan-out (a lone extent runs inline). Caller holds the stripe
+// lock.
+func (s *Store) spanIO(p []byte, base int64, sp layout.StripeSpan, write bool) error {
+	sb := s.getStripeBuf()
+	defer s.putStripeBuf(sb)
+	for _, e := range sp.Extents {
+		buf := p[e.ArrOff-base : e.ArrOff-base+e.Len]
+		if write {
+			sb.queueWrite(e.Disk, buf, e.DiskOff)
+		} else {
+			sb.queueRead(e.Disk, buf, e.DiskOff)
+		}
+	}
+	return s.fanOut(sb)
+}
+
 // degradedReadExtent reconstructs a lost extent from parity plus the
-// surviving data units. The survivor reads target distinct disks, so
-// they are fanned out to the I/O workers and overlap; the parity read
-// is done inline by this goroutine. Caller holds the stripe lock.
+// surviving data units, read in one fan-out. Caller holds the stripe
+// lock.
 func (s *Store) degradedReadExtent(dst []byte, stripe int64, e layout.Extent) error {
 	n := len(dst)
 	off := s.geo.DiskOffset(stripe) + e.UnitOff
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	for i := range sb.errs {
-		sb.errs[i] = nil
-	}
-	dd := s.geo.DataDisks()
-	for i := 0; i < dd; i++ {
-		if i == e.DataIdx {
-			continue
+	for i := range sb.units {
+		if i != e.DataIdx {
+			sb.queueRead(s.geo.DataDisk(stripe, i), sb.units[i][:n], off)
 		}
-		s.devReadAsync(s.geo.DataDisk(stripe, i), sb.units[i][:n], off, &sb.errs[i], &sb.wg)
 	}
 	p := sb.p[:n]
-	perr := s.devRead(s.geo.ParityDisk(stripe), p, off)
-	sb.wg.Wait()
-	if perr != nil {
-		return perr
+	sb.queueRead(s.geo.ParityDisk(stripe), p, off)
+	if err := s.fanOut(sb); err != nil {
+		return err
 	}
 	sb.gather = sb.gather[:0]
-	for i := 0; i < dd; i++ {
-		if i == e.DataIdx {
-			continue
+	for i := range sb.units {
+		if i != e.DataIdx {
+			sb.gather = append(sb.gather, sb.units[i][:n])
 		}
-		if sb.errs[i] != nil {
-			return sb.errs[i]
-		}
-		sb.gather = append(sb.gather, sb.units[i][:n])
 	}
 	parity.Reconstruct(dst, p, sb.gather...)
 	return nil
@@ -806,18 +831,13 @@ func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 }
 
 // writeSpanData writes only the data extents. A dead disk makes writes
-// to its units unrecoverable, matching RAID 0 semantics.
+// to its units unrecoverable, matching RAID 0 semantics; such a span is
+// refused before any extent is written.
 func (s *Store) writeSpanData(p []byte, base int64, sp layout.StripeSpan, dead int) error {
-	for _, e := range sp.Extents {
-		if e.Disk == dead {
-			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
-		}
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if err := s.devWrite(e.Disk, src, e.DiskOff); err != nil {
-			return err
-		}
+	if onDisk(sp, dead) {
+		return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
 	}
-	return nil
+	return s.spanIO(p, base, sp, true)
 }
 
 // writeSpanRaid5 performs the synchronous small-update protocol:
@@ -834,33 +854,28 @@ func (s *Store) writeSpanRaid5(p []byte, base int64, sp layout.StripeSpan) error
 	return nil
 }
 
-// rmwExtent is one extent's read-modify-write. The old-data and
-// old-parity reads target different disks, so one is handed to the I/O
-// workers while this goroutine does the other; scratch comes from the
-// stripe-buffer pool, so steady-state RAID 5 writes allocate nothing.
+// rmwExtent is one extent's read-modify-write: two device times, not
+// four. Old data and old parity live on different disks and are read
+// in one fan-out; new data and new parity are written in another.
+// Scratch comes from the stripe-buffer pool, so steady-state RAID 5
+// writes allocate nothing.
 func (s *Store) rmwExtent(stripe int64, pDisk int, e layout.Extent, src []byte) error {
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
 	old := sb.units[0][:e.Len]
-	sb.errs[0] = nil
-	s.devReadAsync(e.Disk, old, e.DiskOff, &sb.errs[0], &sb.wg)
 	par := sb.p[:e.Len]
 	pOff := s.geo.DiskOffset(stripe) + e.UnitOff
-	perr := s.devRead(pDisk, par, pOff)
-	sb.wg.Wait()
-	if perr != nil {
-		return perr
-	}
-	if sb.errs[0] != nil {
-		return sb.errs[0]
+	sb.queueRead(e.Disk, old, e.DiskOff)
+	sb.queueRead(pDisk, par, pOff)
+	if err := s.fanOut(sb); err != nil {
+		return err
 	}
 	pt := time.Now()
 	parity.Update(par, old, src)
 	s.observeParity(pt)
-	if err := s.devWrite(e.Disk, src, e.DiskOff); err != nil {
-		return err
-	}
-	return s.devWrite(pDisk, par, pOff)
+	sb.queueWrite(e.Disk, src, e.DiskOff)
+	sb.queueWrite(pDisk, par, pOff)
+	return s.fanOut(sb)
 }
 
 // writeSpanDegraded rewrites the whole stripe image around a failed
@@ -903,64 +918,51 @@ func (s *Store) loadStripeImageInto(sb *stripeBuf, stripe int64, dead int, dirty
 	if deadIdx >= 0 && dirty {
 		return fmt.Errorf("%w: stripe %d", ErrDataLoss, stripe)
 	}
-	if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
+	s.queueStripeUnits(sb, stripe, dead, -1)
+	if deadIdx >= 0 {
+		sb.queueRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
+	}
+	if err := s.fanOut(sb); err != nil {
 		return err
 	}
 	if deadIdx >= 0 {
-		pDisk := s.geo.ParityDisk(stripe)
-		if pDisk == dead {
-			return fmt.Errorf("core: internal: dead disk is both data and parity")
-		}
-		if err := s.devRead(pDisk, sb.p, s.geo.DiskOffset(stripe)); err != nil {
-			return err
-		}
 		parity.Reconstruct(sb.units[deadIdx], sb.p, sb.survivors(deadIdx)...)
 	}
 	return nil
 }
 
-// storeStripeImage writes back a full stripe image (data plus parity),
-// skipping the dead disk's unit; parity then encodes it. When a repair
-// sweep has already rebuilt this stripe onto an in-progress replacement,
-// the dead disk's unit is mirrored there too, so the replacement does
-// not hold stale data when RepairDisk swaps it in.
+// storeStripeImage writes back a full stripe image (data plus parity)
+// in one fan-out, skipping the dead disk's unit; parity then encodes
+// it. When a repair sweep has already rebuilt this stripe onto an
+// in-progress replacement, the dead disk's unit is mirrored there too,
+// so the replacement does not hold stale data when RepairDisk swaps it
+// in.
 func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead int, wasDirty bool) error {
 	off := s.geo.DiskOffset(stripe)
-	rd := s.repairTarget(stripe, dead)
-	for i, u := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if d == dead {
-			if rd != nil {
-				if _, err := rd.WriteAt(u, off); err != nil {
-					return fmt.Errorf("core: repair mirror write: %w", err)
-				}
-				if err := s.putChecksumTo(rd, stripe, u); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := s.devWrite(d, u, off); err != nil {
-			return err
-		}
-	}
-	pDisk := s.geo.ParityDisk(stripe)
 	pt := time.Now()
 	parity.Compute(sb.p, sb.units...)
 	s.observeParity(pt)
-	if pDisk == dead {
-		if rd != nil {
-			if _, err := rd.WriteAt(sb.p, off); err != nil {
-				return fmt.Errorf("core: repair mirror parity write: %w", err)
-			}
-			if err := s.putChecksumTo(rd, stripe, sb.p); err != nil {
-				return err
-			}
+	pDisk := s.geo.ParityDisk(stripe)
+	put := func(d int, buf []byte) error {
+		if d == dead {
+			return s.mirrorUnit(stripe, d, buf, off)
 		}
+		sb.queueWrite(d, buf, off)
 		return nil
 	}
-	if err := s.devWrite(pDisk, sb.p, off); err != nil {
+	for i, u := range sb.units {
+		if err := put(s.geo.DataDisk(stripe, i), u); err != nil {
+			return err
+		}
+	}
+	if err := put(pDisk, sb.p); err != nil {
 		return err
+	}
+	if err := s.fanOut(sb); err != nil {
+		return err
+	}
+	if pDisk == dead {
+		return nil // the dead parity unit is rebuilt at repair time
 	}
 	if wasDirty {
 		s.meta.Lock()
@@ -973,6 +975,20 @@ func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead int, wasDirty
 		}
 	}
 	return nil
+}
+
+// mirrorUnit copies dead disk d's unit of a stripe onto the in-progress
+// replacement for d, when the repair sweep has already rebuilt that
+// stripe (see repairTarget); otherwise it does nothing.
+func (s *Store) mirrorUnit(stripe int64, d int, buf []byte, off int64) error {
+	rd := s.repairTarget(stripe, d)
+	if rd == nil {
+		return nil
+	}
+	if _, err := rd.WriteAt(buf, off); err != nil {
+		return fmt.Errorf("core: repair mirror write: %w", err)
+	}
+	return s.putChecksumTo(rd, stripe, buf)
 }
 
 // repairTarget returns the replacement device a degraded write to the

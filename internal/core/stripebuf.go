@@ -4,12 +4,12 @@ import (
 	"sync"
 )
 
-// stripeBuf is the per-rebuild scratch arena: one data-unit buffer per
+// stripeBuf is the per-operation scratch arena: one data-unit buffer per
 // data disk, P and Q parity buffers, a gather slice for assembling
-// variadic survivor lists without allocating, and the error slots +
-// WaitGroup used by the concurrent unit-read fan-out. Buffers are
-// recycled through the store's sync.Pool, so steady-state scrubbing,
-// parity points, and degraded reads allocate nothing.
+// variadic survivor lists without allocating, and the member-I/O batch
+// (request slots + WaitGroup) that fanOut issues. Buffers are recycled
+// through the store's sync.Pool, so steady-state scrubbing, parity
+// points, degraded reads, and read-modify-writes allocate nothing.
 //
 // Unit buffers come back with arbitrary contents; every user either
 // fills them from disk, reconstructs into them (a full overwrite), or
@@ -18,7 +18,7 @@ type stripeBuf struct {
 	units  [][]byte // data units, indexed by data index within the stripe
 	p, q   []byte   // parity scratch (q doubles as scratch on RAID 5 paths)
 	gather [][]byte // scratch for survivor/operand lists
-	errs   []error  // one slot per fanned-out read
+	ios    []ioReq  // member I/Os queued for the next fanOut
 	wg     sync.WaitGroup
 }
 
@@ -34,7 +34,7 @@ func (s *Store) getStripeBuf() *stripeBuf {
 		p:      make([]byte, unit),
 		q:      make([]byte, unit),
 		gather: make([][]byte, 0, dd+1),
-		errs:   make([]error, dd+2),
+		ios:    make([]ioReq, 0, s.geo.Disks),
 	}
 	for i := range sb.units {
 		sb.units[i] = make([]byte, unit)
@@ -45,83 +45,129 @@ func (s *Store) getStripeBuf() *stripeBuf {
 // putStripeBuf recycles an arena. The caller must not touch it after.
 func (s *Store) putStripeBuf(sb *stripeBuf) {
 	sb.gather = sb.gather[:0]
+	clear(sb.ios) // a batch abandoned before its fanOut
+	sb.ios = sb.ios[:0]
 	s.sbPool.Put(sb)
 }
 
-// ioReq is one device-unit read executed by the store's I/O workers.
-// Completion is signalled through wg; the result lands in *errp, made
-// visible to the waiter by the WaitGroup's happens-before edge.
+// ioReq is one member I/O in a fanOut batch. The result lands in err,
+// made visible to the waiter by the batch WaitGroup's happens-before
+// edge.
 type ioReq struct {
-	disk int
-	buf  []byte
-	off  int64
-	errp *error
-	wg   *sync.WaitGroup
+	write bool
+	disk  int
+	buf   []byte
+	off   int64
+	err   error
+	wg    *sync.WaitGroup
 }
 
-// ioWorker serves fanned-out unit reads until the store stops.
+// doIO performs the request on the calling goroutine.
+func (s *Store) doIO(r *ioReq) error {
+	if r.write {
+		return s.devWrite(r.disk, r.buf, r.off)
+	}
+	return s.devRead(r.disk, r.buf, r.off)
+}
+
+// ioWorker serves fanned-out member reads and writes until the store
+// stops. It counts itself idle again before signalling completion, so a
+// caller that wakes from the batch and immediately fans out its next
+// step (an RMW's writes after its reads) finds the worker free.
 func (s *Store) ioWorker() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.stop:
 			return
-		case req := <-s.ioCh:
-			*req.errp = s.devRead(req.disk, req.buf, req.off)
-			req.wg.Done()
+		case r := <-s.ioCh:
+			r.err = s.doIO(r)
+			wg := r.wg
+			s.ioIdle.Add(1)
+			wg.Done()
 		}
 	}
 }
 
-// devReadAsync hands a unit read to an idle I/O worker, or performs it
-// inline when none is free (including after Close): the send is
-// non-blocking on an unbuffered channel, so a request is either picked
-// up immediately or executed by the caller — never parked. This keeps
-// the fan-out work-conserving and deadlock-free by construction.
-func (s *Store) devReadAsync(disk int, buf []byte, off int64, errp *error, wg *sync.WaitGroup) {
-	wg.Add(1)
-	select {
-	case s.ioCh <- ioReq{disk: disk, buf: buf, off: off, errp: errp, wg: wg}:
-	default:
-		*errp = s.devRead(disk, buf, off)
-		wg.Done()
+// devAsync hands a member I/O to an idle I/O worker, or performs it
+// inline when none is idle (including after Close). Claiming an idle
+// worker is non-blocking, and the send that follows waits only for that
+// worker to reach its receive — so a request is either picked up by a
+// worker or executed by the caller, never parked behind busy workers.
+// This keeps the fan-out work-conserving and deadlock-free by
+// construction, and makes the overlap deterministic: a worker between
+// requests (not yet back at its receive) still counts as idle, so a
+// bare non-blocking send would miss it and serialize the batch.
+func (s *Store) devAsync(r *ioReq) {
+	r.wg.Add(1)
+	if s.ioIdle.Add(-1) >= 0 {
+		select {
+		case s.ioCh <- r:
+			return
+		case <-s.stop:
+		}
 	}
+	s.ioIdle.Add(1)
+	r.err = s.doIO(r)
+	r.wg.Done()
 }
 
-// readStripeUnits fills sb.units[i] from the stripe's data disks,
-// fanning the per-disk reads out to the I/O workers — they target
-// distinct devices, so they overlap. Disks skipA/skipB (-1 for none)
-// are left untouched (their unit buffers keep arbitrary contents). One
-// read is kept back and done inline so the calling goroutine
-// contributes instead of blocking. Returns the first error in data-
-// index order.
-func (s *Store) readStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) error {
-	off := s.geo.DiskOffset(stripe)
-	for i := range sb.errs {
-		sb.errs[i] = nil
+// queueRead and queueWrite add a member I/O to sb's next fanOut.
+func (sb *stripeBuf) queueRead(disk int, buf []byte, off int64) {
+	sb.ios = append(sb.ios, ioReq{disk: disk, buf: buf, off: off, wg: &sb.wg})
+}
+
+func (sb *stripeBuf) queueWrite(disk int, buf []byte, off int64) {
+	sb.ios = append(sb.ios, ioReq{write: true, disk: disk, buf: buf, off: off, wg: &sb.wg})
+}
+
+// fanOut issues every queued member I/O at once and waits for all of
+// them. The I/Os target distinct disks, so they overlap: all but the
+// last go to the I/O workers, and the last runs on the calling
+// goroutine so it contributes instead of blocking. Every I/O runs to
+// completion even when another fails, so on error any subset of a
+// write batch may have landed — the span retry loops repair from that
+// (see resyncParity). Returns the first error in queue order; the queue
+// is empty again on return.
+func (s *Store) fanOut(sb *stripeBuf) error {
+	ios := sb.ios
+	n := len(ios)
+	if n == 0 {
+		return nil
 	}
-	inline := -1
-	for i := range sb.units {
-		d := s.geo.DataDisk(stripe, i)
-		if d == skipA || d == skipB {
-			continue
-		}
-		if inline < 0 {
-			inline = i
-			continue
-		}
-		s.devReadAsync(d, sb.units[i], off, &sb.errs[i], &sb.wg)
+	for i := range ios[:n-1] {
+		s.devAsync(&ios[i])
 	}
-	if inline >= 0 {
-		sb.errs[inline] = s.devRead(s.geo.DataDisk(stripe, inline), sb.units[inline], off)
-	}
+	ios[n-1].err = s.doIO(&ios[n-1])
 	sb.wg.Wait()
+	var first error
+	for i := range ios {
+		if first == nil {
+			first = ios[i].err
+		}
+		ios[i] = ioReq{} // drop buffer references before pooling
+	}
+	sb.ios = ios[:0]
+	return first
+}
+
+// queueStripeUnits queues reads filling sb.units[i] from the stripe's
+// data disks, in data-index order. Disks skipA/skipB (-1 for none) are
+// left out (their unit buffers keep arbitrary contents).
+func (s *Store) queueStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) {
+	off := s.geo.DiskOffset(stripe)
 	for i := range sb.units {
-		if err := sb.errs[i]; err != nil {
-			return err
+		if d := s.geo.DataDisk(stripe, i); d != skipA && d != skipB {
+			sb.queueRead(d, sb.units[i], off)
 		}
 	}
-	return nil
+}
+
+// readStripeUnits reads the stripe's data units (see queueStripeUnits)
+// in one fan-out, returning the first error in data-index order.
+func (s *Store) readStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) error {
+	s.queueStripeUnits(sb, stripe, skipA, skipB)
+	return s.fanOut(sb)
 }
 
 // survivors gathers sb.units excluding data index skip into sb.gather.

@@ -220,13 +220,15 @@ func (p *Proxy) acceptLoop() {
 		refuse, closed := p.refuse, p.closed
 		p.mu.Unlock()
 		if refuse || closed {
+			// Count before closing: the reset is what the client sees,
+			// and Stats must already include it when the client looks.
+			p.mu.Lock()
+			p.stats.Refused++
+			p.mu.Unlock()
 			if tc, ok := c.(*net.TCPConn); ok {
 				tc.SetLinger(0)
 			}
 			c.Close()
-			p.mu.Lock()
-			p.stats.Refused++
-			p.mu.Unlock()
 			continue
 		}
 		s, err := net.DialTimeout("tcp", p.target, 5*time.Second)

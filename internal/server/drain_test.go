@@ -214,9 +214,12 @@ func TestHardShutdownCancelsStoreWork(t *testing.T) {
 // never reads its responses. The response queue and socket buffers
 // fill, the writer's deadline expires, and the server must drop that
 // connection — releasing the workers parked in send — rather than let
-// one stalled client wedge the shared pool for everyone else.
+// one stalled client wedge the shared pool for everyone else. The test
+// waits for the drop itself (the WriteTimeouts counter), not for a
+// wall-clock interval: draining the socket before the deadline fired
+// would let the writer finish instead of timing out.
 func TestStalledReaderDisconnected(t *testing.T) {
-	_, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
+	srv, _, addr := startServer(t, core.Options{Mode: core.Afraid, ScrubIdle: time.Hour},
 		Options{Workers: 4, MaxInflight: 512, WriteTimeout: 200 * time.Millisecond})
 
 	nc, err := net.Dial("tcp", addr)
@@ -241,8 +244,16 @@ func TestStalledReaderDisconnected(t *testing.T) {
 		}
 	}
 
-	// The pool must come back: a healthy client completes a round trip
-	// well before the 10s deadline.
+	// The writer's deadline must expire and drop the connection. Poll
+	// the counter; the bound only turns a missing drop into a failure.
+	for giveUp := time.Now().Add(30 * time.Second); srv.Metrics().WriteTimeouts.Value() == 0; {
+		if time.Now().After(giveUp) {
+			t.Fatal("stalled connection was never dropped on its write deadline")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// The pool must come back: a healthy client completes a round trip.
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -252,11 +263,11 @@ func TestStalledReaderDisconnected(t *testing.T) {
 	defer cancel()
 	data := []byte("pool still alive")
 	if _, err := c.WriteAtContext(ctx, data, 0); err != nil {
-		t.Fatalf("write while another conn is stalled: %v", err)
+		t.Fatalf("write after a stalled conn was dropped: %v", err)
 	}
 	got := make([]byte, len(data))
 	if _, err := c.ReadAtContext(ctx, got, 0); err != nil {
-		t.Fatalf("read while another conn is stalled: %v", err)
+		t.Fatalf("read after a stalled conn was dropped: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("read %q, want %q", got, data)

@@ -32,6 +32,9 @@ type Metrics struct {
 	CoalescedWrites expvar.Int
 	BytesRead       expvar.Int
 	BytesWritten    expvar.Int
+	// WriteTimeouts counts connections dropped because a response write
+	// missed its deadline: the client stopped reading.
+	WriteTimeouts expvar.Int
 
 	reg       *obs.Registry
 	opLat     [OpScrub + 1]*obs.Histogram // end-to-end latency per op
@@ -64,6 +67,7 @@ func newMetrics(dirty func() int64) *Metrics {
 	m.vars.Set("coalesced_writes", &m.CoalescedWrites)
 	m.vars.Set("bytes_read", &m.BytesRead)
 	m.vars.Set("bytes_written", &m.BytesWritten)
+	m.vars.Set("write_timeouts", &m.WriteTimeouts)
 	m.vars.Set("read_latency_us", expvar.Func(func() any { return m.opLat[OpRead].Summary() }))
 	m.vars.Set("write_latency_us", expvar.Func(func() any { return m.opLat[OpWrite].Summary() }))
 	m.vars.Set("queue_wait_us", expvar.Func(func() any { return m.queueWait.Summary() }))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -645,6 +646,9 @@ func (c *conn) writeLoop() {
 		}
 		arena, segs, pooled, batchBytes = arena[:0], segs[:0], pooled[:0], 0
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				c.srv.metrics.WriteTimeouts.Add(1)
+			}
 			c.nc.Close() // unblock the reader
 			return false
 		}
