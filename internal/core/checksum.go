@@ -11,7 +11,6 @@ import (
 
 	"afraid/internal/bufpool"
 	"afraid/internal/layout"
-	"afraid/internal/parity"
 )
 
 // End-to-end block checksums. With Options.Checksums every member disk
@@ -210,7 +209,7 @@ func (s *Store) formatChecksums() error {
 	var fresh [layout.ChecksumSlotSize]byte
 	encodeSlot(fresh[:], zero)
 	for i, d := range s.devs {
-		if i == s.dead || i == s.dead2 {
+		if s.dead.has(i) {
 			continue
 		}
 		if _, err := d.ReadAt(trailer, s.geo.DiskSize); err != nil {
@@ -263,20 +262,6 @@ func (s *Store) absorbMismatch(err error) (retry bool, out error) {
 	return true, nil
 }
 
-// absorbMismatchIn is absorbMismatch for callers that do not already
-// hold the stripe lock (the CheckParity workers release it inside
-// checkStripe).
-func (s *Store) absorbMismatchIn(err error) (bool, error) {
-	var ce *ChecksumError
-	if !errors.As(err, &ce) {
-		return false, err
-	}
-	lk := s.stripeLock(ce.Stripe)
-	lk.Lock()
-	defer lk.Unlock()
-	return s.absorbMismatch(err)
-}
-
 // spanRetryBudget bounds the absorb-and-retry loops around span
 // operations: enough for every member to fail or every unit of a
 // stripe to be repaired once, plus slack for a nested repair.
@@ -308,164 +293,74 @@ func (s *Store) preflightChecksums(sp layout.StripeSpan) error {
 
 // repairUnitLocked rewrites one corrupt unit from redundancy. Caller
 // holds the stripe lock; the unit is re-verified first, so a retry
-// that lost a race with another repair (CheckParity workers drop the
-// lock between check and repair) is a no-op.
+// that lost a race with another repair is a no-op.
 func (s *Store) repairUnitLocked(stripe int64, disk int) error {
 	if err := s.verifyUnit(disk, stripe); err == nil {
 		return nil
 	} else if !errors.Is(err, ErrChecksumMismatch) {
 		return err
 	}
-	if s.geo.Level == layout.RAID6 {
-		return s.repairUnit6(stripe, disk)
-	}
-	return s.repairUnit5(stripe, disk)
+	return s.repairUnit(stripe, disk)
 }
 
-// repairUnit5 is the RAID 5 / RAID 0 unit repair. Any second problem in
-// the stripe — a dead member, a stale (dirty) parity, a nested
-// mismatch — exhausts the single redundancy and the unit is reported
-// lost.
-func (s *Store) repairUnit5(stripe int64, disk int) error {
+// repairUnit rebuilds a corrupt unit as one more erasure: a corrupt
+// data unit joins the dead ones to rebuild, a corrupt parity leaves the
+// usable set, and so does every further unit found corrupt while
+// reconstructing. Once the stripe's fresh parities cover the set, the
+// corrupt live units are rewritten — data from the reconstruction,
+// parities re-encoded over the full image (on a dirty stripe the mark
+// stays; the scrubber re-encodes again). Beyond that the unit is
+// reported lost.
+func (s *Store) repairUnit(stripe int64, disk int) error {
 	s.meta.Lock()
 	dead := s.dead
 	dirty := s.marks.IsMarked(stripe)
 	pol := s.effectivePolicy(stripe)
 	s.meta.Unlock()
-	if s.geo.Level == layout.RAID0 || pol == PolicyNeverRedundant {
+	if pol == PolicyNeverRedundant {
 		return csumLossError(stripe, disk)
 	}
-	off := s.geo.DiskOffset(stripe)
-	role, dataIdx := s.geo.RoleOf(stripe, disk)
+	e := s.erasureOf(stripe, dead, s.freshMask(dirty, pol))
+	var badData erasure   // corrupt data units
+	var badPar parityMask // corrupt parities
+	mark := func(d int) bool {
+		switch r, i := s.geo.RoleOf(stripe, d); r {
+		case layout.Parity:
+			badPar |= maskP
+		case layout.ParityQ:
+			badPar |= maskQ
+		default:
+			badData.lose(i)
+		}
+		return s.drop(&e, stripe, d)
+	}
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-
-	if role == layout.Parity {
-		// Recompute parity from the data units — valid for dirty stripes
-		// too (the mark stays; the scrubber recomputes again and clears
-		// it). A dead data member makes the recompute impossible.
-		if dead >= 0 {
-			return csumLossError(stripe, disk)
-		}
-		if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-			if errors.Is(err, ErrChecksumMismatch) {
-				return csumLossError(stripe, disk)
-			}
-			return err
-		}
-		pt := time.Now()
-		parity.Compute(sb.p, sb.units...)
-		s.observeParity(pt)
-		return s.devWrite(disk, sb.p, off)
-	}
-
-	if dirty || dead >= 0 {
-		return csumLossError(stripe, disk)
-	}
-	s.queueStripeUnits(sb, stripe, disk, -1)
-	sb.queueRead(s.geo.ParityDisk(stripe), sb.p, off)
-	if err := s.fanOut(sb); err != nil {
-		if errors.Is(err, ErrChecksumMismatch) {
-			return csumLossError(stripe, disk)
-		}
-		return err
-	}
-	pt := time.Now()
-	parity.Reconstruct(sb.units[dataIdx], sb.p, sb.survivors(dataIdx)...)
-	s.observeParity(pt)
-	return s.devWrite(disk, sb.units[dataIdx], off)
-}
-
-// repairUnit6 is the RAID 6 unit repair: the corrupt unit joins the
-// missing set, nested mismatches met while reconstructing join it too
-// (or disqualify a parity), and materialize6 decides whether the fresh
-// parities still cover the set. Up to two missing data units plus both
-// parities are repairable on a clean stripe.
-func (s *Store) repairUnit6(stripe int64, disk int) error {
-	s.meta.Lock()
-	dead := s.deadSet()
-	dirty := s.marks.IsMarked(stripe)
-	s.meta.Unlock()
-	pFresh, qFresh := s.parityFresh(dirty)
-	pDisk := s.geo.ParityDisk(stripe)
-	qDisk := s.geo.QDisk(stripe)
 	off := s.geo.DiskOffset(stripe)
-
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-
-	badData := map[int]bool{}
-	pBad, qBad := false, false
-	switch disk {
-	case pDisk:
-		pBad = true
-	case qDisk:
-		qBad = true
-	default:
-		badData[disk] = true
-	}
-
-	for tries := 0; tries <= s.geo.Disks; tries++ {
-		missing := append([]int(nil), dead...)
-		for d := range badData {
-			if !containsInt(missing, d) {
-				missing = append(missing, d)
-			}
-		}
-		dataMissing := 0
-		for _, d := range missing {
-			if r, _ := s.geo.RoleOf(stripe, d); r == layout.Data {
-				dataMissing++
-			}
-		}
-		if dataMissing > 2 {
-			return csumLossError(stripe, disk)
-		}
-		ok, err := s.materialize6(sb, stripe, missing, pFresh && !pBad, qFresh && !qBad)
-		if err != nil {
+	for ok := mark(disk); ok && e.covered(); {
+		if _, err := s.reconstruct(sb, stripe, e, 0, s.geo.StripeUnit); err != nil {
 			var ce *ChecksumError
 			if !errors.As(err, &ce) {
 				return err
 			}
-			switch ce.Disk {
-			case pDisk:
-				pBad = true
-			case qDisk:
-				qBad = true
-			default:
-				badData[ce.Disk] = true
-			}
+			ok = mark(ce.Disk)
 			continue
 		}
-		if !ok {
-			return csumLossError(stripe, disk)
-		}
-		// Rewrite everything the reconstruction proved corrupt. Live
-		// disks only: dead members are RepairDisk's job.
-		for d := range badData {
-			if containsInt(dead, d) {
-				continue
-			}
-			_, idx := s.geo.RoleOf(stripe, d)
-			if err := s.devWrite(d, sb.units[idx], off); err != nil {
+		// The corrupt units were read, so none of them is dead.
+		for _, i := range badData.idx[:badData.n] {
+			if err := s.devWrite(s.geo.DataDisk(stripe, i), sb.units[i], off); err != nil {
 				return err
 			}
 		}
-		if pBad || qBad {
-			// All data units are in hand (materialize6 reconstructed the
-			// missing ones), so both parities can be recomputed; write
-			// back the corrupt one(s). On a dirty stripe the mark stays
-			// and the scrubber refreshes them again — harmless.
-			pt := time.Now()
-			parity.ComputePQ(sb.p, sb.q, sb.units...)
-			s.observeParity(pt)
-			if pBad && !containsInt(dead, pDisk) {
-				if err := s.devWrite(pDisk, sb.p, off); err != nil {
-					return err
-				}
-			}
-			if qBad && !containsInt(dead, qDisk) {
-				if err := s.devWrite(qDisk, sb.q, off); err != nil {
+		if badPar == 0 {
+			return nil
+		}
+		pt := time.Now()
+		s.encode(sb)
+		s.observeParity(pt)
+		for j := 0; j < s.m; j++ {
+			if badPar&(1<<j) != 0 {
+				if err := s.devWrite(s.parityDisk(stripe, j), sb.parityBuf(j), off); err != nil {
 					return err
 				}
 			}
@@ -488,28 +383,13 @@ func (s *Store) repairUnit6(stripe int64, disk int) error {
 // arrays (their write paths store full stripe images, which retry
 // idempotently). Caller holds the stripe lock.
 func (s *Store) resyncParity(stripe int64) error {
-	if s.geo.Level == layout.RAID0 {
-		return nil
-	}
 	s.meta.Lock()
-	dead := s.deadSet()
-	dirty := s.marks.IsMarked(stripe)
+	skip := s.m == 0 || s.dead.n > 0 || s.marks.IsMarked(stripe)
 	s.meta.Unlock()
-	if len(dead) > 0 || dirty {
+	if skip {
 		return nil
 	}
-	if s.geo.Level == layout.RAID6 {
-		return s.rebuildParity6(stripe)
-	}
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
-		return err
-	}
-	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
-	s.observeParity(pt)
-	return s.devWrite(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
+	return s.rebuildParity(stripe)
 }
 
 // quarantineStripe records a dirty stripe whose scrub hit unrecoverable
@@ -560,13 +440,4 @@ func (s *Store) QuarantinedStripes() []int64 {
 
 func sortInt64s(a []int64) {
 	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -68,3 +68,27 @@ func (s *Store) absorbFailure(err error) bool {
 	}
 	return s.FailDisk(de.Disk) == nil
 }
+
+// absorbRetry runs a stripe operation until it succeeds or the retry
+// budget is spent. Between attempts it absorbs what the last attempt
+// met: a member reporting fail-stop failure moves the store to degraded
+// mode (absorbFailure), and a unit failing its checksum is repaired from
+// redundancy (absorbMismatch) — a member failing inside that repair is
+// absorbed the same way. An op that needs every member (whole) is not
+// retried once the array is degraded; only RepairDisk can go on. Caller
+// holds the stripe lock.
+func (s *Store) absorbRetry(whole bool, op func() error) error {
+	for tries := 0; ; tries++ {
+		err := op()
+		if err == nil || tries >= s.spanRetryBudget() {
+			return err
+		}
+		retry, err := s.absorbMismatch(err)
+		if retry {
+			continue
+		}
+		if !s.absorbFailure(err) || whole {
+			return err
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"afraid/internal/layout"
 	"afraid/internal/nvram"
-	"afraid/internal/parity"
 )
 
 // Failer is implemented by devices that can be switched into a
@@ -33,18 +32,27 @@ func (s *Store) FailDisk(i int) error {
 	if s.closed {
 		return ErrClosed
 	}
-	switch {
-	case s.dead < 0 || s.dead == i:
-		s.dead = i
-	case s.geo.Level == layout.RAID6 && (s.dead2 < 0 || s.dead2 == i):
-		// RAID 6 absorbs a second failure.
-		s.dead2 = i
-	default:
-		return ErrTooManyFailures
+	if err := s.failDisk(i); err != nil {
+		return err
 	}
 	if f, ok := s.devs[i].(Failer); ok {
 		f.Fail()
 	}
+	return nil
+}
+
+// failDisk adds disk i to the dead set; failing a dead disk again is a
+// no-op. The set holds as many failures as the layout has parities (at
+// least one, so a RAID 0 member can fail too). Caller holds meta.
+func (s *Store) failDisk(i int) error {
+	if s.dead.has(i) {
+		return nil
+	}
+	if s.dead.n >= max(1, s.m) {
+		return ErrTooManyFailures
+	}
+	s.dead.disk[s.dead.n] = i
+	s.dead.n++
 	return nil
 }
 
@@ -104,7 +112,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 		s.meta.Unlock()
 		return report, ErrClosed
 	}
-	if s.dead != i && s.dead2 != i {
+	if !s.dead.has(i) {
 		s.meta.Unlock()
 		return report, fmt.Errorf("core: disk %d is not a failed disk", i)
 	}
@@ -115,7 +123,6 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	// Publish the sweep so concurrent degraded writes mirror already-
 	// repaired stripes onto the replacement (see repairTarget).
 	s.repDisk, s.repDev, s.repDone = i, replacement, nvram.NewBitmap(s.geo.Stripes())
-	mode := s.opts.Mode
 	s.meta.Unlock()
 
 	clearRepair := func() {
@@ -128,7 +135,6 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	// its stripe under that stripe's lock. Stripes complete out of
 	// order, which is why repDone is a bitmap; each worker collects its
 	// own damage list and the parts are merged and sorted afterwards.
-	unit := s.geo.StripeUnit
 	stripes := s.geo.Stripes()
 	workers := s.scrubWorkers()
 	if int64(workers) > stripes {
@@ -159,26 +165,16 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 				lk := s.stripeLock(stripe)
 				lk.Lock()
 				// A survivor failing checksum verification mid-repair is
-				// itself repaired from whatever redundancy remains and the
-				// stripe retried; the damage list is truncated to this
-				// worker's mark so an abandoned attempt cannot double-report.
+				// itself repaired from whatever redundancy remains, and a
+				// member failing mid-repair joins the dead set while the
+				// redundancy lasts; either way the stripe is retried, with
+				// the damage list truncated to this worker's mark so an
+				// abandoned attempt cannot double-report.
 				mark := len(part.Lost)
-				var err error
-				for tries := 0; ; tries++ {
+				err := s.absorbRetry(false, func() error {
 					part.Lost = part.Lost[:mark]
-					if s.geo.Level == layout.RAID6 {
-						err = s.repairStripe6(stripe, i, replacement, part)
-					} else {
-						err = s.repairStripe(stripe, i, replacement, unit, mode, part)
-					}
-					if err == nil || tries >= s.spanRetryBudget() {
-						break
-					}
-					var retry bool
-					if retry, err = s.absorbMismatch(err); !retry {
-						break
-					}
-				}
+					return s.repairStripe(stripe, i, replacement, part)
+				})
 				if err != nil && errors.Is(err, ErrDataLoss) {
 					// Corruption plus the dead disk exceed the stripe's
 					// redundancy: salvage what is readable, zero and report
@@ -229,11 +225,7 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	}
 	s.meta.Lock()
 	s.devs[i] = replacement
-	if s.dead == i {
-		s.dead, s.dead2 = s.dead2, -1
-	} else {
-		s.dead2 = -1
-	}
+	s.dead.remove(i)
 	s.repDisk, s.repDev, s.repDone = -1, nil, nil
 	s.stats.DamagedStripes += uint64(len(report.Lost))
 	s.stats.DamageBytes += report.Bytes()
@@ -245,109 +237,118 @@ func (s *Store) RepairDisk(i int, replacement BlockDevice) (DamageReport, error)
 	return report, err
 }
 
-// repairStripe reconstructs one stripe unit onto the replacement.
+// repairStripe rebuilds the target disk's unit of one stripe onto the
+// replacement. The stripe is reconstructed around the dead disks from
+// its fresh parities. When they cannot cover the missing data units —
+// a dirty stripe's stale parity, a never-redundant stripe — those units
+// are gone: they are zeroed and reported, and every reachable parity is
+// re-encoded over the zeroed image so later repairs reconstruct zeroes
+// instead of garbage. When this repair makes the array whole, a dirty
+// stripe's parities are all re-encoded too (one may be torn, see
+// rebuildParity). The mark is cleared once every parity is rewritten.
 // Caller holds the stripe lock.
-func (s *Store) repairStripe(stripe int64, dead int, replacement BlockDevice, unit int64, mode Mode, report *DamageReport) error {
-	off := s.geo.DiskOffset(stripe)
+func (s *Store) repairStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
 	s.meta.Lock()
-	dirty := mode != Raid0 && s.marks.IsMarked(stripe)
+	dead := s.dead
+	dirty := s.marks.IsMarked(stripe)
 	pol := s.effectivePolicy(stripe)
 	s.meta.Unlock()
 
-	role, dataIdx := s.geo.RoleOf(stripe, dead)
-
-	noParity := mode == Raid0 || pol == PolicyNeverRedundant
-
-	if noParity && role == layout.Data {
-		// Unprotected storage: contents gone, zero-fill and report.
-		sb := s.getStripeBuf()
-		defer s.putStripeBuf(sb)
-		clear(sb.p)
-		if _, err := replacement.WriteAt(sb.p, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.p); err != nil {
-			return err
-		}
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(dataIdx)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-		return nil
-	}
-
+	e := s.erasureOf(stripe, dead, s.freshMask(dirty, pol))
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-
-	switch {
-	case role == layout.Parity:
-		// Recompute parity from the data units (valid whether or not
-		// the stripe was dirty), clearing any mark.
-		if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
+	ok := e.covered()
+	if ok || pol != PolicyNeverRedundant {
+		// The survivors are needed to rebuild from or to re-encode over.
+		if _, err := s.reconstruct(sb, stripe, e, 0, s.geo.StripeUnit); err != nil {
 			return fmt.Errorf("core: repair: %w", err)
 		}
-		parity.Compute(sb.p, sb.units...)
-		if _, err := replacement.WriteAt(sb.p, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.p); err != nil {
-			return err
-		}
-		s.clearMark(stripe)
-		s.bumpRecovered()
-		return nil
-
-	case !dirty:
-		// Clean stripe, lost data unit: exact reconstruction.
-		s.queueStripeUnits(sb, stripe, dead, -1)
-		sb.queueRead(s.geo.ParityDisk(stripe), sb.p, off)
-		if err := s.fanOut(sb); err != nil {
-			return fmt.Errorf("core: repair: %w", err)
-		}
-		lost := sb.units[dataIdx]
-		parity.Reconstruct(lost, sb.p, sb.survivors(dataIdx)...)
-		if _, err := replacement.WriteAt(lost, off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, lost); err != nil {
-			return err
-		}
-		s.bumpRecovered()
-		return nil
-
-	default:
-		// Dirty stripe, lost data unit: unrecoverable. Zero-fill,
-		// recompute parity over the zeroed stripe, report the loss.
-		if err := s.readStripeUnits(sb, stripe, dead, -1); err != nil {
-			return fmt.Errorf("core: repair: %w", err)
-		}
-		clear(sb.units[dataIdx])
-		if _, err := replacement.WriteAt(sb.units[dataIdx], off); err != nil {
-			return err
-		}
-		if err := s.putChecksumTo(replacement, stripe, sb.units[dataIdx]); err != nil {
-			return err
-		}
-		parity.Compute(sb.p, sb.units...)
-		if err := s.devWrite(s.geo.ParityDisk(stripe), sb.p, off); err != nil {
-			return err
-		}
-		s.clearMark(stripe)
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(dataIdx)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-		return nil
 	}
+	if !ok {
+		for _, i := range e.idx[:e.n] {
+			s.loseUnit(sb, stripe, i, report)
+		}
+	}
+	role, idx := s.geo.RoleOf(stripe, target)
+	var refresh parityMask
+	switch role {
+	case layout.Data:
+		if err := s.repairWrite(stripe, target, replacement, target, sb.units[idx]); err != nil {
+			return err
+		}
+	case layout.Parity:
+		refresh = maskP
+	case layout.ParityQ:
+		refresh = maskQ
+	}
+	if pol != PolicyNeverRedundant && (!ok || dirty && dead.n == 1) {
+		refresh = s.allParities()
+	}
+	written, err := s.writeParities(sb, stripe, refresh, dead, target, replacement)
+	if err != nil {
+		return err
+	}
+	if ok {
+		s.bumpRecovered()
+	}
+	if written == s.allParities() {
+		s.clearMark(stripe)
+	}
+	return nil
+}
+
+// repairWrite writes disk d's unit of a stripe during the repair of
+// disk target: onto the replacement, checksum slot included, when d is
+// the target, else onto the live member.
+func (s *Store) repairWrite(stripe int64, target int, replacement BlockDevice, d int, buf []byte) error {
+	off := s.geo.DiskOffset(stripe)
+	if d != target {
+		return s.devWrite(d, buf, off)
+	}
+	if _, err := replacement.WriteAt(buf, off); err != nil {
+		return err
+	}
+	return s.putChecksumTo(replacement, stripe, buf)
+}
+
+// writeParities re-encodes sb and writes the parities in refresh that
+// are reachable — alive, or the target being rebuilt. It returns the
+// mask of parities written.
+func (s *Store) writeParities(sb *stripeBuf, stripe int64, refresh parityMask, dead deadSet, target int, replacement BlockDevice) (parityMask, error) {
+	if refresh == 0 {
+		return 0, nil
+	}
+	s.encode(sb)
+	var written parityMask
+	for j := 0; j < s.m; j++ {
+		d := s.parityDisk(stripe, j)
+		if refresh&(1<<j) == 0 || d != target && dead.has(d) {
+			continue
+		}
+		if err := s.repairWrite(stripe, target, replacement, d, sb.parityBuf(j)); err != nil {
+			return written, err
+		}
+		written |= 1 << j
+	}
+	return written, nil
+}
+
+// loseUnit zeroes data unit i of the stripe image in sb and reports it
+// lost.
+func (s *Store) loseUnit(sb *stripeBuf, stripe int64, i int, report *DamageReport) {
+	clear(sb.units[i])
+	report.Lost = append(report.Lost, DamagedRange{
+		Offset: stripe*s.geo.StripeDataBytes() + int64(i)*s.geo.StripeUnit,
+		Length: s.geo.StripeUnit,
+		Stripe: stripe,
+	})
 }
 
 // clearMark unconditionally unmarks a stripe (on parity-bearing
 // layouts).
 func (s *Store) clearMark(stripe int64) {
 	s.meta.Lock()
-	if s.geo.Level != layout.RAID0 {
+	if s.m > 0 {
 		s.marks.Unmark(stripe)
 	}
 	s.dropQuarantine(stripe)
@@ -362,40 +363,27 @@ func (s *Store) bumpRecovered() {
 }
 
 // salvageStripe handles a repair-sweep stripe where detected checksum
-// corruption plus the dead disk exceed the stripe's redundancy. Every
+// corruption plus the dead disks exceed the stripe's redundancy. Every
 // data unit that cannot be read back verified — a corrupt survivor, or
-// the target's unreconstructable unit — is zeroed and reported lost,
-// then the parities are recomputed over the zeroed image so later
+// a dead disk's unreconstructable unit — is zeroed and reported lost,
+// then the parities are re-encoded over the zeroed image so later
 // reads and repairs see a consistent stripe (zeroes where data was
 // lost) instead of garbage behind a stale parity. Caller holds the
 // stripe lock.
 func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice, report *DamageReport) error {
-	unit := s.geo.StripeUnit
 	off := s.geo.DiskOffset(stripe)
 	s.meta.Lock()
-	dead := s.deadSet()
+	dead := s.dead
 	s.meta.Unlock()
-	isDead := func(d int) bool { return containsInt(dead, d) }
 
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	lose := func(i int) {
-		clear(sb.units[i])
-		report.Lost = append(report.Lost, DamagedRange{
-			Offset: stripe*s.geo.StripeDataBytes() + int64(i)*unit,
-			Length: unit,
-			Stripe: stripe,
-		})
-	}
 	for i := range sb.units {
 		d := s.geo.DataDisk(stripe, i)
-		if isDead(d) {
-			lose(i)
+		if dead.has(d) {
+			s.loseUnit(sb, stripe, i, report)
 			if d == target {
-				if _, err := replacement.WriteAt(sb.units[i], off); err != nil {
-					return err
-				}
-				if err := s.putChecksumTo(replacement, stripe, sb.units[i]); err != nil {
+				if err := s.repairWrite(stripe, target, replacement, d, sb.units[i]); err != nil {
 					return err
 				}
 			}
@@ -410,47 +398,16 @@ func (s *Store) salvageStripe(stripe int64, target int, replacement BlockDevice,
 		}
 		// Corrupt beyond repair: zero it in place (installing a fresh
 		// slot) so the stripe converges instead of erroring forever.
-		lose(i)
+		s.loseUnit(sb, stripe, i, report)
 		if werr := s.devWrite(d, sb.units[i], off); werr != nil {
 			return werr
 		}
 	}
-
-	writeParity := func(d int, buf []byte) (bool, error) {
-		switch {
-		case d == target:
-			if _, err := replacement.WriteAt(buf, off); err != nil {
-				return false, err
-			}
-			return true, s.putChecksumTo(replacement, stripe, buf)
-		case isDead(d):
-			return false, nil
-		default:
-			return true, s.devWrite(d, buf, off)
-		}
-	}
-	pDisk := s.geo.ParityDisk(stripe)
-	if s.geo.Level == layout.RAID6 {
-		parity.ComputePQ(sb.p, sb.q, sb.units...)
-		pOK, err := writeParity(pDisk, sb.p)
-		if err != nil {
-			return err
-		}
-		qOK, err := writeParity(s.geo.QDisk(stripe), sb.q)
-		if err != nil {
-			return err
-		}
-		if pOK && qOK {
-			s.clearMark(stripe)
-		}
-		return nil
-	}
-	parity.Compute(sb.p, sb.units...)
-	pOK, err := writeParity(pDisk, sb.p)
+	written, err := s.writeParities(sb, stripe, s.allParities(), dead, target, replacement)
 	if err != nil {
 		return err
 	}
-	if pOK {
+	if written == s.allParities() {
 		s.clearMark(stripe)
 	}
 	return nil

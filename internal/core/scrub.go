@@ -8,9 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"afraid/internal/layout"
-	"afraid/internal/parity"
 )
 
 // maxInlineScrub bounds how many stripes a single write is ever held
@@ -151,7 +148,7 @@ func (s *Store) scrubPass() {
 // policy exists to yield to.
 func (s *Store) scrubOne(forced bool, gen *uint64) (bool, error) {
 	s.meta.Lock()
-	if s.dead >= 0 || s.dead2 >= 0 {
+	if s.dead.n > 0 {
 		// Cannot rebuild parity with a missing disk; RepairDisk will.
 		s.meta.Unlock()
 		return false, nil
@@ -184,24 +181,10 @@ func (s *Store) scrubOne(forced bool, gen *uint64) (bool, error) {
 		return true, nil // raced with a degraded write; count as progress
 	}
 
-	var rerr error
-	for tries := 0; ; tries++ {
-		if s.geo.Level == layout.RAID6 {
-			rerr = s.rebuildParity6(stripe)
-		} else {
-			rerr = s.rebuildParity(stripe)
-		}
-		// A unit that fails checksum verification mid-rebuild is repaired
-		// from redundancy and the rebuild retried; rebuilding parity over
-		// the corrupt bytes would bless them forever.
-		if rerr == nil || tries >= s.spanRetryBudget() {
-			break
-		}
-		var retry bool
-		if retry, rerr = s.absorbMismatch(rerr); !retry {
-			break
-		}
-	}
+	// A unit that fails checksum verification mid-rebuild is repaired
+	// from redundancy and the rebuild retried; rebuilding parity over the
+	// corrupt bytes would bless them forever.
+	rerr := s.absorbRetry(true, func() error { return s.rebuildParity(stripe) })
 	if rerr != nil {
 		if s.absorbFailure(rerr) {
 			// A member failed mid-rebuild: the store is now degraded and
@@ -258,19 +241,26 @@ func (s *Store) nextUnclaimed() (int64, bool) {
 	}
 }
 
-// rebuildParity recomputes and writes one stripe's parity from its data
-// units, read concurrently from their disks into a pooled stripe
-// arena. Caller holds the stripe lock.
+// rebuildParity recomputes and writes all m parities of one stripe from
+// its data units, read concurrently from their disks into a pooled
+// stripe arena. Every parity is rewritten, even one the write path keeps
+// synchronously: a marked stripe may carry a torn synchronous P from a
+// write interrupted by a crash, and unmarking it with that P in place
+// would plant latent corruption. Caller holds the stripe lock; no disk
+// is dead.
 func (s *Store) rebuildParity(stripe int64) error {
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	if err := s.readStripeUnits(sb, stripe, -1, -1); err != nil {
+	if err := s.readStripeUnits(sb, stripe); err != nil {
 		return fmt.Errorf("core: scrub: %w", err)
 	}
 	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
+	s.encode(sb)
 	s.observeParity(pt)
-	if err := s.devWrite(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe)); err != nil {
+	for j := 0; j < s.m; j++ {
+		sb.queueWrite(s.parityDisk(stripe, j), sb.parityBuf(j), s.geo.DiskOffset(stripe))
+	}
+	if err := s.fanOut(sb); err != nil {
 		return fmt.Errorf("core: scrub: %w", err)
 	}
 	return nil
@@ -303,10 +293,7 @@ func (s *Store) FlushContext(ctx context.Context) error {
 			s.meta.Unlock()
 			return ErrClosed
 		}
-		dead := s.dead
-		if s.dead2 >= 0 {
-			dead = s.dead2
-		}
+		dead := s.dead.last()
 		n := s.marks.Count()
 		q := int64(len(s.quarantine))
 		s.meta.Unlock()
@@ -486,10 +473,7 @@ func (s *Store) parityPointStripe(stripe int64) error {
 	s.meta.Lock()
 	dirty := s.marks.IsMarked(stripe)
 	quarantined := s.quarantine[stripe]
-	dead := s.dead
-	if s.dead2 >= 0 {
-		dead = s.dead2
-	}
+	dead := s.dead.last()
 	s.meta.Unlock()
 	if !dirty {
 		return nil
@@ -509,21 +493,7 @@ func (s *Store) parityPointStripe(stripe int64) error {
 	if !dirty {
 		return nil
 	}
-	var err error
-	for tries := 0; ; tries++ {
-		if s.geo.Level == layout.RAID6 {
-			err = s.rebuildParity6(stripe)
-		} else {
-			err = s.rebuildParity(stripe)
-		}
-		if err == nil || tries >= s.spanRetryBudget() {
-			break
-		}
-		var retry bool
-		if retry, err = s.absorbMismatch(err); !retry {
-			break
-		}
-	}
+	err := s.absorbRetry(true, func() error { return s.rebuildParity(stripe) })
 	if err != nil {
 		if errors.Is(err, ErrDataLoss) {
 			s.quarantineStripe(stripe)
@@ -552,7 +522,6 @@ func (s *Store) CheckParity() ([]int64, error) {
 	if int64(workers) > stripes {
 		workers = int(stripes)
 	}
-	raid6 := s.geo.Level == layout.RAID6
 	var (
 		cur      atomic.Int64
 		wg       sync.WaitGroup
@@ -578,23 +547,13 @@ func (s *Store) CheckParity() ([]int64, error) {
 					return
 				}
 				var consistent bool
-				var err error
-				for tries := 0; ; tries++ {
-					if raid6 {
-						consistent, err = s.checkStripe6(sb, stripe)
-					} else {
-						consistent, err = s.checkStripe(sb, stripe)
-					}
-					if err == nil || tries >= s.spanRetryBudget() {
-						break
-					}
-					// checkStripe drops the stripe lock before returning, so
-					// the repair re-acquires it.
-					var retry bool
-					if retry, err = s.absorbMismatchIn(err); !retry {
-						break
-					}
-				}
+				lk := s.stripeLock(stripe)
+				lk.Lock()
+				err := s.absorbRetry(true, func() (err error) {
+					consistent, err = s.checkStripe(sb, stripe)
+					return err
+				})
+				lk.Unlock()
 				if err != nil && errors.Is(err, ErrDataLoss) {
 					// Corruption beyond redundancy: the stripe is by
 					// definition inconsistent. Report it in the result
@@ -625,16 +584,15 @@ func (s *Store) CheckParity() ([]int64, error) {
 	return bad, nil
 }
 
-// checkStripe verifies one stripe's parity under its stripe lock.
+// checkStripe verifies one stripe's parities against its data. Caller
+// holds the stripe lock.
 func (s *Store) checkStripe(sb *stripeBuf, stripe int64) (bool, error) {
-	lk := s.stripeLock(stripe)
-	lk.Lock()
-	s.queueStripeUnits(sb, stripe, -1, -1)
-	sb.queueRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
-	err := s.fanOut(sb)
-	lk.Unlock()
-	if err != nil {
+	s.queueStripeUnits(sb, stripe)
+	for j := 0; j < s.m; j++ {
+		sb.queueRead(s.parityDisk(stripe, j), sb.parityBuf(j), s.geo.DiskOffset(stripe))
+	}
+	if err := s.fanOut(sb); err != nil {
 		return false, err
 	}
-	return parity.Check(sb.p, sb.units...), nil
+	return s.consistent(sb), nil
 }

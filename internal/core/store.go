@@ -150,6 +150,8 @@ type Stats struct {
 // Store is the functional AFRAID array.
 type Store struct {
 	geo  layout.Geometry
+	m    int        // parity units per stripe: 0, 1 (P), or 2 (P and Q)
+	sync parityMask // parities a PolicyDefault write keeps fresh (erasure.go)
 	devs []BlockDevice
 	opts Options
 	nv   NVRAM
@@ -157,8 +159,7 @@ type Store struct {
 	meta     sync.Mutex // guards everything below
 	marks    *nvram.Bitmap
 	policy   []StripePolicy
-	dead     int // index of first failed disk, -1 if none
-	dead2    int // second failed disk (RAID 6 only), -1 if none
+	dead     deadSet
 	lastIO   time.Time
 	closed   bool
 	stats    Stats
@@ -233,12 +234,19 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("core: devices smaller than one stripe unit (plus checksum trailer)")
 	}
-	lvl := layout.RAID5
+	lvl, keep := layout.RAID5, parityMask(0)
 	switch opts.Mode {
 	case Raid0:
 		lvl = layout.RAID0
-	case Raid6, Afraid6:
+	case Raid5:
+		keep = maskP
+	case Raid6:
+		lvl, keep = layout.RAID6, maskP|maskQ
+	case Afraid6:
 		lvl = layout.RAID6
+		if !opts.DeferBothParities {
+			keep = maskP
+		}
 	}
 	if opts.DeferBothParities && opts.Mode != Afraid6 {
 		return nil, fmt.Errorf("core: DeferBothParities requires Afraid6 mode")
@@ -254,11 +262,11 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		geo:        geo,
+		m:          lvl.ParityUnits(),
+		sync:       keep,
 		devs:       devs,
 		opts:       opts,
 		nv:         nv,
-		dead:       -1,
-		dead2:      -1,
 		repDisk:    -1,
 		lastIO:     time.Now(),
 		claimed:    make(map[int64]bool),
@@ -294,13 +302,8 @@ func Open(devs []BlockDevice, nv NVRAM, opts Options) (*Store, error) {
 		if _, err := d.ReadAt(probe, 0); err == nil {
 			continue
 		}
-		switch {
-		case s.dead < 0:
-			s.dead = i
-		case lvl == layout.RAID6 && s.dead2 < 0:
-			s.dead2 = i
-		default:
-			return nil, fmt.Errorf("core: devices %d and %d both failed: %w", s.dead, i, ErrTooManyFailures)
+		if err := s.failDisk(i); err != nil {
+			return nil, fmt.Errorf("core: devices %d and %d both failed: %w", s.dead.disk[0], i, err)
 		}
 	}
 	if opts.Checksums {
@@ -439,14 +442,7 @@ func (s *Store) DirtyStripes() int64 {
 func (s *Store) DeadDisks() []int {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	var out []int
-	if s.dead >= 0 {
-		out = append(out, s.dead)
-	}
-	if s.dead2 >= 0 {
-		out = append(out, s.dead2)
-	}
-	return out
+	return append([]int(nil), s.dead.disk[:s.dead.n]...)
 }
 
 // DirtyList returns the stripes currently marked unredundant — the
@@ -574,31 +570,10 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 		t0 := time.Now()
 		lk.Lock()
 		t1 := time.Now()
-		var err error
-		for tries := 0; ; tries++ {
-			if s.geo.Level == layout.RAID6 {
-				err = s.readSpan6(p, off, sp)
-			} else {
-				err = s.readSpan(p, off, sp)
-			}
-			// A member reporting fail-stop failure mid-span moves the
-			// store to degraded mode; retry the span, now reconstructing
-			// around the dead disk. absorbFailure refuses once the
-			// redundancy is exhausted; the tries bound guards against a
-			// span that keeps tripping on an already-absorbed member. A
-			// checksum mismatch is absorbed the same way: repair the one
-			// corrupt unit from redundancy, then retry the span.
-			if err == nil || tries >= s.spanRetryBudget() {
-				break
-			}
-			if s.absorbFailure(err) {
-				continue
-			}
-			var retry bool
-			if retry, err = s.absorbMismatch(err); !retry {
-				break
-			}
-		}
+		// A member failing mid-span moves the store to degraded mode and
+		// the retry reconstructs around it; a unit failing its checksum is
+		// repaired from redundancy first (see absorbRetry).
+		err := s.absorbRetry(false, func() error { return s.readSpan(p, off, sp) })
 		lk.Unlock()
 		t2 := time.Now()
 		s.ob.lockWait.Observe(t1.Sub(t0))
@@ -618,8 +593,10 @@ func (s *Store) ReadContext(ctx context.Context, p []byte, off int64) (int, erro
 	return len(p), nil
 }
 
-// readSpan reads one stripe's extents, reconstructing around a failed
-// disk when possible. Caller holds the stripe lock.
+// readSpan reads one stripe's extents. Extents on dead disks are
+// rebuilt from the fresh parities over their byte range only, in the
+// same fan-out as the live extents' reads. Caller holds the stripe
+// lock.
 func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	s.meta.Lock()
 	dead := s.dead
@@ -627,39 +604,35 @@ func (s *Store) readSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	pol := s.effectivePolicy(sp.Stripe)
 	s.meta.Unlock()
 
-	if !onDisk(sp, dead) {
+	if !onDead(sp, dead) {
 		return s.spanIO(p, base, sp, false)
 	}
-	for _, e := range sp.Extents {
-		dst := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if e.Disk != dead {
-			if err := s.devRead(e.Disk, dst, e.DiskOff); err != nil {
-				return err
-			}
-			continue
-		}
-		// The extent lives on the failed disk.
-		if dirty || pol == PolicyNeverRedundant {
-			return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
-		}
-		if err := s.degradedReadExtent(dst, sp.Stripe, e); err != nil {
-			return err
-		}
-		s.meta.Lock()
-		s.stats.DegradedReads++
-		s.meta.Unlock()
+	e := s.erasureOf(sp.Stripe, dead, s.freshMask(dirty, pol))
+	if !e.covered() {
+		return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
 	}
+	lo, hi := s.geo.StripeUnit, int64(0)
+	sb := s.getStripeBuf()
+	defer s.putStripeBuf(sb)
+	for _, x := range sp.Extents {
+		if dead.has(x.Disk) {
+			lo, hi = min(lo, x.UnitOff), max(hi, x.UnitOff+x.Len)
+		} else {
+			sb.queueRead(x.Disk, p[x.ArrOff-base:x.ArrOff-base+x.Len], x.DiskOff)
+		}
+	}
+	if _, err := s.reconstruct(sb, sp.Stripe, e, lo, hi); err != nil {
+		return err
+	}
+	for _, x := range sp.Extents {
+		if dead.has(x.Disk) {
+			copy(p[x.ArrOff-base:x.ArrOff-base+x.Len], sb.units[x.DataIdx][x.UnitOff:])
+		}
+	}
+	s.meta.Lock()
+	s.stats.DegradedReads++
+	s.meta.Unlock()
 	return nil
-}
-
-// onDisk reports whether any of the span's extents lives on disk d.
-func onDisk(sp layout.StripeSpan, d int) bool {
-	for _, e := range sp.Extents {
-		if e.Disk == d {
-			return true
-		}
-	}
-	return false
 }
 
 // spanIO reads (or writes) a span's data extents in place. A span's
@@ -678,34 +651,6 @@ func (s *Store) spanIO(p []byte, base int64, sp layout.StripeSpan, write bool) e
 		}
 	}
 	return s.fanOut(sb)
-}
-
-// degradedReadExtent reconstructs a lost extent from parity plus the
-// surviving data units, read in one fan-out. Caller holds the stripe
-// lock.
-func (s *Store) degradedReadExtent(dst []byte, stripe int64, e layout.Extent) error {
-	n := len(dst)
-	off := s.geo.DiskOffset(stripe) + e.UnitOff
-	sb := s.getStripeBuf()
-	defer s.putStripeBuf(sb)
-	for i := range sb.units {
-		if i != e.DataIdx {
-			sb.queueRead(s.geo.DataDisk(stripe, i), sb.units[i][:n], off)
-		}
-	}
-	p := sb.p[:n]
-	sb.queueRead(s.geo.ParityDisk(stripe), p, off)
-	if err := s.fanOut(sb); err != nil {
-		return err
-	}
-	sb.gather = sb.gather[:0]
-	for i := range sb.units {
-		if i != e.DataIdx {
-			sb.gather = append(sb.gather, sb.units[i][:n])
-		}
-	}
-	parity.Reconstruct(dst, p, sb.gather...)
-	return nil
 }
 
 // WriteAt implements io.WriterAt over the client address space.
@@ -739,43 +684,20 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 		t0 := time.Now()
 		lk.Lock()
 		t1 := time.Now()
-		var err error
-		for tries := 0; ; tries++ {
-			if s.geo.Level == layout.RAID6 {
-				err = s.writeSpan6(p, off, sp)
-			} else {
-				err = s.writeSpan(p, off, sp)
-			}
-			// See ReadContext: absorb a fail-stop member (or repair a
-			// unit that failed checksum verification) and retry the span
-			// under the appropriate protocol.
-			if err == nil || tries >= s.spanRetryBudget() {
-				break
-			}
-			if s.absorbFailure(err) {
-				continue
-			}
-			var retry bool
-			if retry, err = s.absorbMismatch(err); !retry {
-				break
-			}
-			// The failed attempt may have applied its parity delta
-			// partially before the corrupt unit surfaced; rebuild parity
-			// from at-rest data so the retried read-modify-write starts
-			// from a consistent stripe. Corruption met during the
-			// rebuild joins the absorb loop like any other span error.
-			if err = s.resyncParity(sp.Stripe); err != nil {
-				if s.absorbFailure(err) {
-					continue
-				}
-				if retry, err = s.absorbMismatch(err); !retry {
-					break
-				}
-				if err = s.resyncParity(sp.Stripe); err != nil {
-					break
+		// See ReadContext. After a checksum repair the failed attempt may
+		// have applied its parity delta partially before the corrupt unit
+		// surfaced, so parity is first rebuilt from at-rest data and the
+		// retried read-modify-write starts from a consistent stripe.
+		var prev error
+		err := s.absorbRetry(false, func() error {
+			if errors.Is(prev, ErrChecksumMismatch) {
+				if prev = s.resyncParity(sp.Stripe); prev != nil {
+					return prev
 				}
 			}
-		}
+			prev = s.writeSpan(p, off, sp)
+			return prev
+		})
 		lk.Unlock()
 		t2 := time.Now()
 		s.ob.lockWait.Observe(t1.Sub(t0))
@@ -797,154 +719,157 @@ func (s *Store) WriteContext(ctx context.Context, p []byte, off int64) (int, err
 }
 
 // writeSpan applies one stripe's worth of a write under the stripe lock.
+// The stripe's sync mask picks the protocol: a read-modify-write of
+// every synchronous parity, marking the stripe first when some parity
+// is deferred to the scrubber.
 func (s *Store) writeSpan(p []byte, base int64, sp layout.StripeSpan) error {
 	s.meta.Lock()
 	dead := s.dead
 	pol := s.effectivePolicy(sp.Stripe)
 	s.meta.Unlock()
 
-	if dead >= 0 && pol != PolicyNeverRedundant {
+	if pol == PolicyNeverRedundant {
+		return s.writeSpanData(p, base, sp, dead)
+	}
+	if dead.n > 0 {
 		// Degraded operation: with a disk already gone, deferring
 		// parity would turn the next failure into certain loss, so the
-		// array maintains parity synchronously (and through it the
-		// contents of the dead unit).
-		return s.writeSpanDegraded(p, base, sp)
+		// array maintains every surviving parity synchronously (and
+		// through them the contents of the dead units).
+		return s.writeSpanDegraded(p, base, sp, dead)
 	}
-
-	switch pol {
-	case PolicyNeverRedundant:
-		return s.writeSpanData(p, base, sp, dead)
-	case PolicyAlwaysRedundant:
-		return s.writeSpanRaid5(p, base, sp)
-	default: // AFRAID
-		// Verify the old contents under partial extents *before* marking:
-		// a corruption found after our own mark would be misread as
-		// dirty-stripe loss (see preflightChecksums).
-		if err := s.preflightChecksums(sp); err != nil {
-			return err
+	sync := s.syncMask(pol)
+	if sync != s.allParities() {
+		// With no parity left fresh, verify the old contents under
+		// partial extents *before* marking: a corruption found after our
+		// own mark would be misread as dirty-stripe loss (see
+		// preflightChecksums).
+		if sync == 0 {
+			if err := s.preflightChecksums(sp); err != nil {
+				return err
+			}
 		}
 		if err := s.markStripe(sp.Stripe); err != nil {
 			return err
 		}
-		return s.writeSpanData(p, base, sp, -1)
 	}
+	if sync == 0 {
+		return s.spanIO(p, base, sp, true)
+	}
+	for _, e := range sp.Extents {
+		if err := s.rmwExtent(sp.Stripe, e, p[e.ArrOff-base:e.ArrOff-base+e.Len], sync); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeSpanData writes only the data extents. A dead disk makes writes
 // to its units unrecoverable, matching RAID 0 semantics; such a span is
 // refused before any extent is written.
-func (s *Store) writeSpanData(p []byte, base int64, sp layout.StripeSpan, dead int) error {
-	if onDisk(sp, dead) {
+func (s *Store) writeSpanData(p []byte, base int64, sp layout.StripeSpan, dead deadSet) error {
+	if onDead(sp, dead) {
 		return fmt.Errorf("%w: stripe %d", ErrDataLoss, sp.Stripe)
 	}
 	return s.spanIO(p, base, sp, true)
 }
 
-// writeSpanRaid5 performs the synchronous small-update protocol:
-// read old data and old parity, xor-update, write data and parity.
-func (s *Store) writeSpanRaid5(p []byte, base int64, sp layout.StripeSpan) error {
-	stripe := sp.Stripe
-	pDisk := s.geo.ParityDisk(stripe)
-	for _, e := range sp.Extents {
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		if err := s.rmwExtent(stripe, pDisk, e, src); err != nil {
-			return err
+// markStripe marks a stripe dirty, persists the map, and tracks the
+// dirty-count high-water mark (the widest the unredundancy window ever
+// got — the paper's exposure metric).
+func (s *Store) markStripe(stripe int64) error {
+	s.meta.Lock()
+	changed := s.marks.Mark(stripe)
+	// A fresh write may overwrite the corrupt unit that put the stripe
+	// in quarantine; let the scrubber try again.
+	s.dropQuarantine(stripe)
+	var err error
+	if changed {
+		if c := s.marks.Count(); c > s.stats.DirtyHighWater {
+			s.stats.DirtyHighWater = c
 		}
+		err = s.commitMarks()
 	}
-	return nil
+	s.meta.Unlock()
+	return err
 }
 
-// rmwExtent is one extent's read-modify-write: two device times, not
-// four. Old data and old parity live on different disks and are read
-// in one fan-out; new data and new parity are written in another.
-// Scratch comes from the stripe-buffer pool, so steady-state RAID 5
-// writes allocate nothing.
-func (s *Store) rmwExtent(stripe int64, pDisk int, e layout.Extent, src []byte) error {
+// rmwExtent is one extent's read-modify-write of the parities in sync:
+// two device times, not four. Old data and the old parity ranges live
+// on different disks and are read in one fan-out; new data and new
+// parities are written in another. Scratch comes from the stripe-buffer
+// pool, so steady-state synchronous writes allocate nothing.
+func (s *Store) rmwExtent(stripe int64, e layout.Extent, src []byte, sync parityMask) error {
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
 	old := sb.units[0][:e.Len]
-	par := sb.p[:e.Len]
-	pOff := s.geo.DiskOffset(stripe) + e.UnitOff
+	off := s.geo.DiskOffset(stripe) + e.UnitOff
 	sb.queueRead(e.Disk, old, e.DiskOff)
-	sb.queueRead(pDisk, par, pOff)
+	for j := 0; j < s.m; j++ {
+		if sync&(1<<j) != 0 {
+			sb.queueRead(s.parityDisk(stripe, j), sb.parityBuf(j)[:e.Len], off)
+		}
+	}
 	if err := s.fanOut(sb); err != nil {
 		return err
 	}
 	pt := time.Now()
-	parity.Update(par, old, src)
+	if sync&maskP != 0 {
+		parity.Update(sb.p[:e.Len], old, src)
+	}
+	if sync&maskQ != 0 {
+		parity.UpdateQ(sb.q[:e.Len], old, src, e.DataIdx)
+	}
 	s.observeParity(pt)
 	sb.queueWrite(e.Disk, src, e.DiskOff)
-	sb.queueWrite(pDisk, par, pOff)
+	for j := 0; j < s.m; j++ {
+		if sync&(1<<j) != 0 {
+			sb.queueWrite(s.parityDisk(stripe, j), sb.parityBuf(j)[:e.Len], off)
+		}
+	}
 	return s.fanOut(sb)
 }
 
-// writeSpanDegraded rewrites the whole stripe image around a failed
-// disk: reconstruct, apply the new data, recompute parity, write the
+// writeSpanDegraded rewrites the whole stripe image around the dead
+// disks: reconstruct, apply the new data, re-encode, write the
 // surviving units. Caller holds the stripe lock.
-func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan) error {
+func (s *Store) writeSpanDegraded(p []byte, base int64, sp layout.StripeSpan, dead deadSet) error {
 	stripe := sp.Stripe
 	s.meta.Lock()
-	dead := s.dead
 	dirty := s.marks.IsMarked(stripe)
+	pol := s.effectivePolicy(stripe)
 	s.meta.Unlock()
 
+	e := s.erasureOf(stripe, dead, s.freshMask(dirty, pol))
+	if !e.covered() {
+		return fmt.Errorf("%w: stripe %d", ErrDataLoss, stripe)
+	}
 	sb := s.getStripeBuf()
 	defer s.putStripeBuf(sb)
-	if err := s.loadStripeImageInto(sb, stripe, dead, dirty); err != nil {
+	if _, err := s.reconstruct(sb, stripe, e, 0, s.geo.StripeUnit); err != nil {
 		return err
 	}
-	// Apply the new data in memory.
-	for _, e := range sp.Extents {
-		src := p[e.ArrOff-base : e.ArrOff-base+e.Len]
-		copy(sb.units[e.DataIdx][e.UnitOff:], src)
+	for _, x := range sp.Extents {
+		copy(sb.units[x.DataIdx][x.UnitOff:], p[x.ArrOff-base:x.ArrOff-base+x.Len])
 	}
 	return s.storeStripeImage(stripe, sb, dead, dirty)
 }
 
-// loadStripeImageInto reads all data units of a stripe into sb,
-// reconstructing the dead one from parity when the stripe is clean. A
-// dirty stripe's dead data unit is unrecoverable and is surfaced as
-// ErrDataLoss.
-func (s *Store) loadStripeImageInto(sb *stripeBuf, stripe int64, dead int, dirty bool) error {
-	deadIdx := -1
-	if dead >= 0 {
-		for i := range sb.units {
-			if s.geo.DataDisk(stripe, i) == dead {
-				deadIdx = i
-				break
-			}
-		}
-	}
-	if deadIdx >= 0 && dirty {
-		return fmt.Errorf("%w: stripe %d", ErrDataLoss, stripe)
-	}
-	s.queueStripeUnits(sb, stripe, dead, -1)
-	if deadIdx >= 0 {
-		sb.queueRead(s.geo.ParityDisk(stripe), sb.p, s.geo.DiskOffset(stripe))
-	}
-	if err := s.fanOut(sb); err != nil {
-		return err
-	}
-	if deadIdx >= 0 {
-		parity.Reconstruct(sb.units[deadIdx], sb.p, sb.survivors(deadIdx)...)
-	}
-	return nil
-}
-
-// storeStripeImage writes back a full stripe image (data plus parity)
-// in one fan-out, skipping the dead disk's unit; parity then encodes
-// it. When a repair sweep has already rebuilt this stripe onto an
-// in-progress replacement, the dead disk's unit is mirrored there too,
-// so the replacement does not hold stale data when RepairDisk swaps it
-// in.
-func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead int, wasDirty bool) error {
+// storeStripeImage encodes a full stripe image and writes data and
+// parities back in one fan-out, skipping dead disks; the surviving
+// parities then encode their units. When a repair sweep has already
+// rebuilt this stripe onto an in-progress replacement, a dead disk's
+// unit is mirrored there too, so the replacement does not hold stale
+// data when RepairDisk swaps it in. A dirty stripe is unmarked only
+// when no parity disk is dead (a dead parity is rebuilt at repair
+// time).
+func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead deadSet, wasDirty bool) error {
 	off := s.geo.DiskOffset(stripe)
 	pt := time.Now()
-	parity.Compute(sb.p, sb.units...)
+	s.encode(sb)
 	s.observeParity(pt)
-	pDisk := s.geo.ParityDisk(stripe)
 	put := func(d int, buf []byte) error {
-		if d == dead {
+		if dead.has(d) {
 			return s.mirrorUnit(stripe, d, buf, off)
 		}
 		sb.queueWrite(d, buf, off)
@@ -955,26 +880,26 @@ func (s *Store) storeStripeImage(stripe int64, sb *stripeBuf, dead int, wasDirty
 			return err
 		}
 	}
-	if err := put(pDisk, sb.p); err != nil {
-		return err
+	parityDead := false
+	for j := 0; j < s.m; j++ {
+		d := s.parityDisk(stripe, j)
+		parityDead = parityDead || dead.has(d)
+		if err := put(d, sb.parityBuf(j)); err != nil {
+			return err
+		}
 	}
 	if err := s.fanOut(sb); err != nil {
 		return err
 	}
-	if pDisk == dead {
-		return nil // the dead parity unit is rebuilt at repair time
+	if !wasDirty || parityDead {
+		return nil
 	}
-	if wasDirty {
-		s.meta.Lock()
-		s.marks.Unmark(stripe)
-		s.dropQuarantine(stripe)
-		err := s.commitMarks()
-		s.meta.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	s.meta.Lock()
+	s.marks.Unmark(stripe)
+	s.dropQuarantine(stripe)
+	err := s.commitMarks()
+	s.meta.Unlock()
+	return err
 }
 
 // mirrorUnit copies dead disk d's unit of a stripe onto the in-progress

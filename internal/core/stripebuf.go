@@ -16,7 +16,7 @@ import (
 // explicitly zeroes them (the unrecoverable-stripe repair path).
 type stripeBuf struct {
 	units  [][]byte // data units, indexed by data index within the stripe
-	p, q   []byte   // parity scratch (q doubles as scratch on RAID 5 paths)
+	p, q   []byte   // parity scratch (see parityBuf)
 	gather [][]byte // scratch for survivor/operand lists
 	ios    []ioReq  // member I/Os queued for the next fanOut
 	wg     sync.WaitGroup
@@ -152,30 +152,28 @@ func (s *Store) fanOut(sb *stripeBuf) error {
 }
 
 // queueStripeUnits queues reads filling sb.units[i] from the stripe's
-// data disks, in data-index order. Disks skipA/skipB (-1 for none) are
-// left out (their unit buffers keep arbitrary contents).
-func (s *Store) queueStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) {
+// data disks, in data-index order.
+func (s *Store) queueStripeUnits(sb *stripeBuf, stripe int64) {
 	off := s.geo.DiskOffset(stripe)
 	for i := range sb.units {
-		if d := s.geo.DataDisk(stripe, i); d != skipA && d != skipB {
-			sb.queueRead(d, sb.units[i], off)
-		}
+		sb.queueRead(s.geo.DataDisk(stripe, i), sb.units[i], off)
 	}
 }
 
-// readStripeUnits reads the stripe's data units (see queueStripeUnits)
-// in one fan-out, returning the first error in data-index order.
-func (s *Store) readStripeUnits(sb *stripeBuf, stripe int64, skipA, skipB int) error {
-	s.queueStripeUnits(sb, stripe, skipA, skipB)
+// readStripeUnits reads the stripe's data units in one fan-out,
+// returning the first error in data-index order.
+func (s *Store) readStripeUnits(sb *stripeBuf, stripe int64) error {
+	s.queueStripeUnits(sb, stripe)
 	return s.fanOut(sb)
 }
 
-// survivors gathers sb.units excluding data index skip into sb.gather.
-func (sb *stripeBuf) survivors(skip int) [][]byte {
+// survivors gathers the byte range [lo, hi) of sb.units, excluding data
+// index skip, into sb.gather.
+func (sb *stripeBuf) survivors(skip int, lo, hi int64) [][]byte {
 	sb.gather = sb.gather[:0]
 	for i, u := range sb.units {
 		if i != skip {
-			sb.gather = append(sb.gather, u)
+			sb.gather = append(sb.gather, u[lo:hi])
 		}
 	}
 	return sb.gather

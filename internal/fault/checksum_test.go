@@ -184,3 +184,22 @@ func TestEpisodeFlipsWithoutChecksumsViolate(t *testing.T) {
 		t.Fatal("flips with checksums disabled produced no violations; the detection claim is vacuous")
 	}
 }
+
+// TestDeviceFailureInsideChecksumRepair pins chaos episodes whose
+// transient member fault lands inside a checksum repair: the repair's
+// own read fails, and the store must absorb that member failure and
+// retry the span (here a workload read, and two workload writes)
+// instead of handing the raw device error to the client. Each config is
+// the one afraidchaos's schedule derives for that seed and mode.
+func TestDeviceFailureInsideChecksumRepair(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 5012, Mode: core.Afraid, Checksums: true, FlipBits: 1, ReadRot: 1,
+			Transients: 1, Repair: true},
+		{Seed: 195, Mode: core.Afraid6, Checksums: true, FlipBits: 2,
+			PowerCut: true, DiskFails: 1, Transients: 1, Repair: true},
+		{Seed: 500273, Mode: core.Raid5, Checksums: true, ReadRot: 1,
+			DiskFails: 1, Transients: 1, Repair: true},
+	} {
+		runOne(t, cfg)
+	}
+}
