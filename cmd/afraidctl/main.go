@@ -33,6 +33,7 @@ import (
 
 	"afraid/internal/cluster"
 	"afraid/internal/core"
+	"afraid/internal/obs"
 	"afraid/internal/server"
 )
 
@@ -100,18 +101,15 @@ func main() {
 // each daemon's own STAT alongside the volume's reachability state.
 func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO time.Duration) {
 	st := v.Stat()
-	fmt.Printf("volume: capacity %s, stripe unit %s, %d stripes, %d dirty",
-		fmtSize(st.Capacity), fmtSize(st.StripeUnit), st.Stripes, st.Stats.DirtyStripes)
-	if st.Stats.Recovered {
-		fmt.Printf(" [RECOVERED: marking memory was lost, full rebuild pending]")
+	fmt.Printf("volume: capacity %s, stripe unit %s, %d stripes\n",
+		fmtSize(st.Capacity), fmtSize(st.StripeUnit), st.Stripes)
+	fields := obs.AppendFields(nil, "", st.Stats)
+	for i := 0; i < len(fields); i += 6 {
+		for _, f := range fields[i:min(i+6, len(fields))] {
+			fmt.Printf("  %s=%v", f.Name, f.Value)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
-	fmt.Printf("  drains=%d degraded_reads=%d degraded_writes=%d healed=%d lost=%d failovers=%d high_water=%d\n",
-		st.Stats.ParityDrains, st.Stats.DegradedReads, st.Stats.DegradedWrites,
-		st.Stats.HealedStripes, st.Stats.LostStripes, st.Stats.NodeFailovers, st.Stats.DirtyHighWater)
-	fmt.Printf("  hedged=%d hedge_wins=%d retries=%d retries_exhausted=%d auto_heals=%d quarantines=%d\n",
-		st.Stats.HedgedReads, st.Stats.HedgeWins, st.Stats.Retries,
-		st.Stats.RetriesExhausted, st.Stats.AutoHeals, st.Stats.Quarantines)
 	fmt.Printf("%-4s %-22s %-12s %-5s %-10s %-10s %-14s %-20s %s\n", "NODE", "ADDR", "STATE", "FAILS", "STALE", "NODE-DIRTY", "NODE-CAPACITY", "TIER(res/hits/mig)", "CSUM(det/rep/lost)")
 	for _, n := range st.Nodes {
 		nodeDirty, nodeCap, nodeTier, nodeCsum := "-", "-", "-", "-"
@@ -121,16 +119,17 @@ func runStatus(ctx context.Context, v *cluster.Volume, addrs []string, dialTO ti
 		if c, err := server.DialTimeout(addrs[n.Index], dialTO); err == nil {
 			cctx, cancel := context.WithTimeout(ctx, dialTO)
 			if ds, err := c.Stat(cctx); err == nil {
-				nodeDirty = strconv.FormatInt(ds.DirtyStripes, 10)
-				nodeCap = fmtSize(ds.Capacity)
-				if ds.ChecksumDetected > 0 {
-					nodeCsum = fmt.Sprintf("%d/%d/%d", ds.ChecksumDetected, ds.ChecksumRepaired, ds.ChecksumLost)
+				nodeDirty = strconv.FormatUint(ds["core.dirty_stripes"], 10)
+				nodeCap = fmtSize(int64(ds["server.capacity"]))
+				if det := ds["core.checksum_detected"]; det > 0 {
+					nodeCsum = fmt.Sprintf("%d/%d/%d", det, ds["core.checksum_repaired"], ds["core.checksum_lost"])
 				}
-				// A hybrid node (STAT v4) reports its front-tier
-				// occupancy: resident bytes, front hits, and migration
-				// traffic (promotes+demotes).
-				if ds.TierResidentBytes > 0 || ds.TierFrontHits > 0 || ds.TierPromotes > 0 {
-					nodeTier = fmt.Sprintf("%s/%d/%d", fmtSize(ds.TierResidentBytes), ds.TierFrontHits, ds.TierPromotes+ds.TierDemotes)
+				// A hybrid node reports its front-tier occupancy:
+				// resident bytes, front hits, and migration traffic
+				// (promotes+demotes).
+				res, hits := ds["tier.resident_bytes"], ds["tier.front_read_hits"]+ds["tier.front_write_hits"]
+				if res > 0 || hits > 0 || ds["tier.promotes"] > 0 {
+					nodeTier = fmt.Sprintf("%s/%d/%d", fmtSize(int64(res)), hits, ds["tier.promotes"]+ds["tier.demotes"])
 				}
 			}
 			cancel()

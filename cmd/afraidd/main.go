@@ -142,56 +142,9 @@ func main() {
 
 	if *metricsAddr != "" {
 		srv.Metrics().Publish("afraid.server")
-		// Degraded-state snapshot: which members are dead, what the
-		// failures cost (the paper's exposure, realized), and how far
-		// repair sweeps have gotten.
-		expvar.Publish("afraid.store", expvar.Func(func() any {
-			st1 := st.Stats()
-			dead := st.DeadDisks()
-			if dead == nil {
-				dead = []int{} // render as [] rather than null
-			}
-			return map[string]any{
-				"dead_disks":        dead,
-				"dirty_stripes":     st.DirtyStripes(),
-				"damage_bytes":      st1.DamageBytes,
-				"damaged_stripes":   st1.DamagedStripes,
-				"recovered_stripes": st1.RecoveredStripes,
-				"degraded_reads":    st1.DegradedReads,
-				"nvram_recovered":   st1.NVRAMRecovered,
-				"checksum_detected": st1.ChecksumDetected,
-				"checksum_repaired": st1.ChecksumRepaired,
-				"checksum_lost":     st1.ChecksumLost,
-				"quarantined":       len(st.QuarantinedStripes()),
-			}
-		}))
+		expvar.Publish("afraid.store", expvar.Func(func() any { return storeVars(st) }))
 		if hybrid != nil {
-			// Hybrid occupancy: what lives in the front tier, how the
-			// migration engine is keeping up, and the hit ratio the
-			// whole design exists to earn.
-			expvar.Publish("afraid.tier", expvar.Func(func() any {
-				ts := hybrid.TierStats()
-				return map[string]any{
-					"front_read_hits":   ts.FrontReadHits,
-					"front_read_misses": ts.FrontReadMisses,
-					"front_write_hits":  ts.FrontWriteHits,
-					"front_hit_ratio":   ts.FrontHitRatio(),
-					"promotes":          ts.Promotes,
-					"demotes":           ts.Demotes,
-					"evictions":         ts.Evictions,
-					"promoted_bytes":    ts.PromotedBytes,
-					"demoted_bytes":     ts.DemotedBytes,
-					"write_arounds":     ts.WriteArounds,
-					"resident_extents":  ts.ResidentExtents,
-					"resident_bytes":    ts.ResidentBytes,
-					"dirty_extents":     ts.DirtyExtents,
-					"dirty_bytes":       ts.DirtyBytes,
-					"mirror_failovers":  ts.MirrorFailovers,
-					"degraded_writes":   ts.DegradedWrites,
-					"resilvered":        ts.Resilvered,
-					"map_recovered":     ts.MapRecovered,
-				}
-			}))
+			expvar.Publish("afraid.tier", expvar.Func(func() any { return tierVars(hybrid) }))
 		}
 		// Node identity card for cluster tooling: when this daemon is one
 		// member of an internal/cluster volume, afraidctl and monitoring
@@ -270,6 +223,42 @@ func main() {
 		log.Printf("close: %v", err)
 	}
 	log.Printf("bye")
+}
+
+// storeVars is the afraid.store expvar: every core.Stats counter (the
+// degraded-state snapshot: dirty and damaged stripes, what failures
+// cost, how far repair has got) plus which members are dead and how
+// many stripes are quarantined.
+func storeVars(st *core.Store) map[string]any {
+	vars := fieldVars(st.Stats())
+	dead := st.DeadDisks()
+	if dead == nil {
+		dead = []int{} // render as [] rather than null
+	}
+	vars["dead_disks"] = dead
+	vars["quarantined"] = len(st.QuarantinedStripes())
+	return vars
+}
+
+// tierVars is the afraid.tier expvar: every tier.TierStats counter
+// (front-tier occupancy and migration) plus the read hit ratio the
+// hybrid exists to earn.
+func tierVars(hybrid *tier.Store) map[string]any {
+	ts := hybrid.TierStats()
+	vars := fieldVars(ts)
+	vars["front_hit_ratio"] = ts.FrontHitRatio()
+	return vars
+}
+
+// fieldVars renders a stats struct as an expvar map keyed by field
+// name in snake_case.
+func fieldVars(stats any) map[string]any {
+	fields := obs.AppendFields(nil, "", stats)
+	vars := make(map[string]any, len(fields))
+	for _, f := range fields {
+		vars[f.Name] = f.Value
+	}
+	return vars
 }
 
 func parseMode(s string) (core.Mode, error) {

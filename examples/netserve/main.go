@@ -88,18 +88,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("STAT: mode=%s writes=%d dirty-stripes=%d (parity deferred, data already durable)\n",
-		st.ModeString(), st.Writes, st.DirtyStripes)
-	// STAT v2 carries the server's latency percentiles over the wire —
-	// the paper's response-time metric, live instead of simulated.
+		st.ModeString(), st["core.writes"], st["core.dirty_stripes"])
+	// STAT carries the server's latency percentiles over the wire — the
+	// paper's response-time metric, live instead of simulated.
+	us := func(name string) time.Duration { return time.Duration(st[name]).Round(time.Microsecond) }
 	fmt.Printf("STAT: write latency p50=%v p95=%v p99=%v\n",
-		st.WriteP50.Round(time.Microsecond), st.WriteP95.Round(time.Microsecond), st.WriteP99.Round(time.Microsecond))
+		us("server.write_p50"), us("server.write_p95"), us("server.write_p99"))
 
 	// FLUSH is the whole-array parity point.
 	if err := c.Flush(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	st, _ = c.Stat(context.Background())
-	fmt.Printf("after FLUSH: dirty-stripes=%d\n", st.DirtyStripes)
+	fmt.Printf("after FLUSH: dirty-stripes=%d\n", st["core.dirty_stripes"])
 	c.Close()
 
 	fmt.Printf("metrics: %s\n", srv.Metrics())

@@ -123,7 +123,6 @@ func (v *Volume) hedgedReadExtent(ctx context.Context, dst []byte, st int64, e l
 					v.meta.Lock()
 					v.stats.HedgeWins++
 					v.meta.Unlock()
-					v.ob.hedgeWins.Inc()
 				}
 				return nil
 			}
@@ -152,7 +151,6 @@ func (v *Volume) hedgedReadExtent(ctx context.Context, dst []byte, st int64, e l
 			v.meta.Lock()
 			v.stats.HedgedReads++
 			v.meta.Unlock()
-			v.ob.hedged.Inc()
 		}
 	}
 }

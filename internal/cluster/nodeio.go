@@ -23,13 +23,6 @@ type volObs struct {
 	heal      *obs.Histogram
 	readOp    *obs.Histogram // whole-volume read latency (what hedging bends)
 	writeOp   *obs.Histogram // whole-volume write latency
-
-	hedged           *obs.Counter
-	hedgeWins        *obs.Counter
-	retries          *obs.Counter
-	retriesExhausted *obs.Counter
-	quarantines      *obs.Counter
-	autoHeals        *obs.Counter
 }
 
 func newVolObs(n int) *volObs {
@@ -46,12 +39,6 @@ func newVolObs(n int) *volObs {
 	ob.heal = ob.reg.Histogram("heal.stripe")
 	ob.readOp = ob.reg.Histogram("read.op")
 	ob.writeOp = ob.reg.Histogram("write.op")
-	ob.hedged = ob.reg.Counter("read.hedged")
-	ob.hedgeWins = ob.reg.Counter("read.hedge_wins")
-	ob.retries = ob.reg.Counter("span.retries")
-	ob.retriesExhausted = ob.reg.Counter("span.retries_exhausted")
-	ob.quarantines = ob.reg.Counter("node.quarantines")
-	ob.autoHeals = ob.reg.Counter("node.auto_heals")
 	return ob
 }
 
@@ -199,7 +186,6 @@ func (v *Volume) markDown(i int, gen uint64, cause error) {
 	}
 	v.logf("cluster: node %d (%s) down: %v", i, m.addr, cause)
 	if quarantined {
-		v.ob.quarantines.Inc()
 		v.logf("cluster: node %d (%s) QUARANTINED: %d failures within %v; no auto-heal until cleared",
 			i, m.addr, fails, v.opts.FlapWindow)
 	}
@@ -366,7 +352,6 @@ func (v *Volume) startAutoHeal(i int) {
 	v.stats.AutoHeals++
 	v.wg.Add(1)
 	v.meta.Unlock()
-	v.ob.autoHeals.Inc()
 	v.logf("cluster: node %d (%s) back up, auto-heal started", i, m.addr)
 	go func() {
 		defer v.wg.Done()

@@ -29,13 +29,11 @@ func (v *Volume) retrySpan(ctx context.Context, fn func() error) error {
 			v.meta.Lock()
 			v.stats.RetriesExhausted++
 			v.meta.Unlock()
-			v.ob.retriesExhausted.Inc()
 			return err
 		}
 		v.meta.Lock()
 		v.stats.Retries++
 		v.meta.Unlock()
-		v.ob.retries.Inc()
 		if attempt == 0 {
 			continue
 		}

@@ -42,6 +42,13 @@ func newStoreObs() *storeObs {
 // debug endpoint.
 func (s *Store) Obs() *obs.Registry { return s.ob.reg }
 
+// AppendStats appends the store's STAT entries: its redundancy mode
+// and every Stats counter, each under the "core." prefix.
+func (s *Store) AppendStats(dst []obs.Field) []obs.Field {
+	dst = append(dst, obs.Field{Name: "core.mode", Value: uint64(s.opts.Mode)})
+	return obs.AppendFields(dst, "core.", s.Stats())
+}
+
 // traceOp records one completed client operation in the trace ring.
 func (s *Store) traceOp(op string, off, n int64, start time.Time, lockWait, dev time.Duration, err error) {
 	ev := obs.Event{

@@ -337,16 +337,14 @@ func (p *Proxy) forward(pp *proxyPair, dst net.Conn, chunk []byte, up bool) bool
 		time.Sleep(time.Duration(int64(len(chunk)) * int64(time.Second) / bps))
 	}
 	if len(chunk) > 0 {
-		if _, err := dst.Write(chunk); err != nil {
+		// Count before writing: once the peer holds the bytes, Stats
+		// must already show them. A failed write takes back what it did
+		// not deliver.
+		p.countBytes(up, int64(len(chunk)))
+		if n, err := dst.Write(chunk); err != nil {
+			p.countBytes(up, int64(n-len(chunk)))
 			return false
 		}
-		p.mu.Lock()
-		if up {
-			p.stats.BytesUp += int64(len(chunk))
-		} else {
-			p.stats.BytesDown += int64(len(chunk))
-		}
-		p.mu.Unlock()
 	}
 	if reset {
 		p.mu.Lock()
@@ -365,4 +363,15 @@ func alive(c net.Conn) bool {
 		return false
 	}
 	return true
+}
+
+// countBytes adds n to the forwarded-byte counter of one direction.
+func (p *Proxy) countBytes(up bool, n int64) {
+	p.mu.Lock()
+	if up {
+		p.stats.BytesUp += n
+	} else {
+		p.stats.BytesDown += n
+	}
+	p.mu.Unlock()
 }

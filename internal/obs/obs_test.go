@@ -207,3 +207,54 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
+
+func TestSnakeCase(t *testing.T) {
+	for in, want := range map[string]string{
+		"NVRAMPersists":    "nvram_persists",
+		"ReadP50":          "read_p50",
+		"ChecksumDetected": "checksum_detected",
+		"DirtyHighWater":   "dirty_high_water",
+		"Reads":            "reads",
+		"P50Late":          "p50_late",
+		"ID":               "id",
+	} {
+		if got := SnakeCase(in); got != want {
+			t.Errorf("SnakeCase(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+func TestAppendFields(t *testing.T) {
+	type stats struct {
+		Reads    uint64
+		Dirty    int64
+		Lag      time.Duration
+		Small    uint8
+		Lost     bool
+		Ratio    float64 // not an integer: skipped
+		Name     string  // skipped
+		internal int     // unexported: skipped
+	}
+	s := stats{Reads: 3, Dirty: -2, Lag: time.Millisecond, Small: 7, Lost: true, Ratio: 0.5, Name: "x", internal: 1}
+	want := []Field{
+		{"l.reads", uint64(3)},
+		{"l.dirty", int64(-2)},
+		{"l.lag", int64(time.Millisecond)},
+		{"l.small", uint64(7)},
+		{"l.lost", true},
+	}
+	for _, v := range []any{s, &s} {
+		got := AppendFields([]Field{{"first", uint64(1)}}, "l.", v)
+		if len(got) != len(want)+1 || got[0].Name != "first" {
+			t.Fatalf("AppendFields(%T) = %v, want first then %v", v, got, want)
+		}
+		for i, f := range got[1:] {
+			if f != want[i] {
+				t.Errorf("field %d = %#v, want %#v", i, f, want[i])
+			}
+		}
+	}
+	if (Field{"x", int64(-1)}).Uint64() != math.MaxUint64 || (Field{"x", true}).Uint64() != 1 || (Field{"x", false}).Uint64() != 0 {
+		t.Error("Field.Uint64 does not encode two's complement and 1/0 bools")
+	}
+}

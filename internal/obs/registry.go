@@ -11,18 +11,16 @@ import (
 // lock guards only registration; recording goes straight to the
 // lock-free histograms.
 type Registry struct {
-	mu       sync.Mutex
-	hists    map[string]*Histogram
-	rings    map[string]*Ring
-	counters map[string]*Counter
+	mu    sync.Mutex
+	hists map[string]*Histogram
+	rings map[string]*Ring
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:    make(map[string]*Histogram),
-		rings:    make(map[string]*Ring),
-		counters: make(map[string]*Counter),
+		hists: make(map[string]*Histogram),
+		rings: make(map[string]*Ring),
 	}
 }
 

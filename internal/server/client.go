@@ -462,30 +462,23 @@ func (c *Client) Scrub(ctx context.Context, off, length int64) error {
 	return err
 }
 
-// Ping performs a minimal health-check round trip: a version-1 STAT
-// whose payload is discarded. It is the cheapest request the protocol
-// offers (no store I/O, a few dozen bytes each way), so a cluster layer
-// can probe node liveness on a tight deadline without waiting out a
-// full request timeout on a real transfer.
+// Ping performs a minimal health-check round trip: a STAT whose
+// payload is discarded. It needs no store I/O, so a cluster layer can
+// probe node liveness on a tight deadline without waiting out a full
+// request timeout on a real transfer.
 func (c *Client) Ping(ctx context.Context) error {
 	resp, err := c.do(ctx, &Request{Op: OpStat})
 	resp.release()
 	return err
 }
 
-// Stat returns the server's store snapshot. The request's Length field
-// advertises the newest STAT payload version this client understands;
-// pre-versioning servers ignore it and answer version 1, leaving the
-// percentile fields zero.
+// Stat returns the server's snapshot of named counters.
 func (c *Client) Stat(ctx context.Context) (Stat, error) {
-	resp, err := c.do(ctx, &Request{Op: OpStat, Length: StatVersion})
+	resp, err := c.do(ctx, &Request{Op: OpStat})
 	if err != nil {
-		return Stat{}, err
+		return nil, err
 	}
 	st, err := decodeStat(resp.Data)
 	resp.release()
 	return st, err
 }
-
-// ModeString names the served store's redundancy mode.
-func (st Stat) ModeString() string { return core.Mode(st.Mode).String() }

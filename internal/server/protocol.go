@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"afraid/internal/bufpool"
+	"afraid/internal/core"
+	"afraid/internal/obs"
 )
 
 // Handshake: the client opens with Magic; the server answers with
@@ -38,7 +39,7 @@ const (
 	OpWrite Op = 2
 	// OpFlush makes the whole array redundant (parity point).
 	OpFlush Op = 3
-	// OpStat returns an encoded Stat snapshot.
+	// OpStat returns the served store's named counters (see Stat).
 	OpStat Op = 4
 	// OpScrub makes the stripes covering [Off, Off+Length) redundant.
 	OpScrub Op = 5
@@ -295,159 +296,80 @@ func ReadResponse(br *bufio.Reader, maxPayload uint32) (Response, error) {
 	return DecodeResponse(body, maxPayload)
 }
 
-// StatVersion is the newest STAT payload version this package encodes.
-// Version negotiation rides on the STAT request's otherwise-unused
-// Length field: a client advertises the highest version it understands
-// there (0, from pre-versioning clients, means 1), and the server
-// replies with min(advertised, StatVersion). Pre-versioning servers
-// ignore the field and always answer version 1, so the exchange
-// degrades gracefully in both directions without touching the
-// fixed-length handshake.
+// STAT payload: a self-describing snapshot of named counters.
 //
-// Version history:
+//	tag(1) count(2) then count × [nameLen(1) name(nameLen) value(8)]
 //
-//	1: mode + capacity/dirty/reads/writes/bytes/scrubbed counters
-//	2: v1 + read/write latency percentiles (p50/p95/p99, ns)
-//	3: v2 + checksum counters (detected/repaired/lost)
-//	4: v3 + hybrid-tier counters (front hits/promotes/demotes/resident bytes)
-const StatVersion = 4
-
-// Stat is the STAT payload: a snapshot of the served store.
-type Stat struct {
-	Capacity        int64
-	Mode            uint8 // core.Mode
-	DirtyStripes    int64
-	Reads           uint64
-	Writes          uint64
-	BytesRead       int64
-	BytesWritten    int64
-	ScrubbedStripes uint64
-
-	// Server-side request latency percentiles (STAT version >= 2; zero
-	// when the server only speaks version 1).
-	ReadP50, ReadP95, ReadP99    time.Duration
-	WriteP50, WriteP95, WriteP99 time.Duration
-
-	// Block-checksum counters (STAT version >= 3; zero when the server
-	// speaks an older version or runs without Options.Checksums).
-	ChecksumDetected uint64
-	ChecksumRepaired uint64
-	ChecksumLost     uint64
-
-	// Hybrid-tier counters (STAT version >= 4; zero when the server
-	// speaks an older version or serves a bare store with no front
-	// tier).
-	TierFrontHits     uint64
-	TierPromotes      uint64
-	TierDemotes       uint64
-	TierResidentBytes int64
-}
-
+// Names are layer-prefixed snake_case ("core.dirty_stripes",
+// "tier.promotes", "server.read_p50"); signed values travel as two's
+// complement and bools as 1 or 0. A new counter is a new entry, so the
+// format never needs a version bump. Earlier releases sent fixed-field
+// payloads that began with a version byte of 1 to 4; statTag lies
+// outside that range, so each side rejects the other's payload as
+// unknown instead of misreading it. STAT ignores the request's Length.
 const (
-	statPayloadLenV1 = 1 + 1 + 7*8
-	statPayloadLenV2 = statPayloadLenV1 + 6*8
-	statPayloadLenV3 = statPayloadLenV2 + 3*8
-	statPayloadLenV4 = statPayloadLenV3 + 4*8
+	statTag       = 0x80
+	statHeaderLen = 1 + 2
+	// statMinEntry is the smallest entry: a one-byte name.
+	statMinEntry = 1 + 1 + 8
 )
 
-// statVersionFor clamps a client-advertised version to what this server
-// encodes.
-func statVersionFor(advertised uint32) uint8 {
-	if advertised <= 1 {
-		return 1
-	}
-	if advertised >= StatVersion {
-		return StatVersion
-	}
-	return uint8(advertised)
-}
+// Stat is a decoded STAT snapshot: layer-prefixed counter names mapped
+// to their values.
+type Stat map[string]uint64
 
-// appendStat encodes a Stat (version byte first) at the given payload
-// version.
-func appendStat(dst []byte, st *Stat, version uint8) []byte {
-	if version < 1 || version > StatVersion {
-		version = 1
-	}
-	dst = append(dst, version, st.Mode)
-	for _, v := range [...]uint64{
-		uint64(st.Capacity), uint64(st.DirtyStripes), st.Reads, st.Writes,
-		uint64(st.BytesRead), uint64(st.BytesWritten), st.ScrubbedStripes,
-	} {
-		dst = binary.BigEndian.AppendUint64(dst, v)
-	}
-	if version >= 2 {
-		for _, d := range [...]time.Duration{
-			st.ReadP50, st.ReadP95, st.ReadP99,
-			st.WriteP50, st.WriteP95, st.WriteP99,
-		} {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(d))
-		}
-	}
-	if version >= 3 {
-		for _, v := range [...]uint64{st.ChecksumDetected, st.ChecksumRepaired, st.ChecksumLost} {
-			dst = binary.BigEndian.AppendUint64(dst, v)
-		}
-	}
-	if version >= 4 {
-		for _, v := range [...]uint64{
-			st.TierFrontHits, st.TierPromotes, st.TierDemotes, uint64(st.TierResidentBytes),
-		} {
-			dst = binary.BigEndian.AppendUint64(dst, v)
-		}
+// ModeString names the served store's redundancy mode.
+func (st Stat) ModeString() string { return core.Mode(st["core.mode"]).String() }
+
+// appendStat encodes fields as a STAT payload. Each name must be 1 to
+// 255 bytes long, as obs.AppendFields names are.
+func appendStat(dst []byte, fields []obs.Field) []byte {
+	dst = append(dst, statTag)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(fields)))
+	for _, f := range fields {
+		dst = append(dst, byte(len(f.Name)))
+		dst = append(dst, f.Name...)
+		dst = binary.BigEndian.AppendUint64(dst, f.Uint64())
 	}
 	return dst
 }
 
-// decodeStat parses a STAT payload at any version this package
-// understands; fields a version-1 server never sent stay zero.
+// decodeStat parses a STAT payload. It rejects an unknown tag, a count
+// the payload cannot hold (before allocating for it), truncated
+// entries, trailing bytes, empty names and duplicate names.
 func decodeStat(b []byte) (Stat, error) {
-	var st Stat
-	if len(b) < 1 {
-		return st, fmt.Errorf("%w: empty stat payload", ErrTruncatedFrame)
+	if len(b) < statHeaderLen {
+		return nil, fmt.Errorf("%w: stat payload %d bytes, need %d", ErrTruncatedFrame, len(b), statHeaderLen)
 	}
-	want := 0
-	switch b[0] {
-	case 1:
-		want = statPayloadLenV1
-	case 2:
-		want = statPayloadLenV2
-	case 3:
-		want = statPayloadLenV3
-	case 4:
-		want = statPayloadLenV4
-	default:
-		return st, fmt.Errorf("server: unknown stat version %d", b[0])
+	if b[0] != statTag {
+		return nil, fmt.Errorf("server: unknown stat format %#x", b[0])
 	}
-	if len(b) != want {
-		return st, fmt.Errorf("%w: stat v%d payload %d bytes, want %d", ErrTruncatedFrame, b[0], len(b), want)
+	n := int(binary.BigEndian.Uint16(b[1:]))
+	b = b[statHeaderLen:]
+	if n*statMinEntry > len(b) {
+		return nil, fmt.Errorf("%w: stat declares %d entries in %d bytes", ErrTruncatedFrame, n, len(b))
 	}
-	st.Mode = b[1]
-	u := func(i int) uint64 { return binary.BigEndian.Uint64(b[2+8*i:]) }
-	st.Capacity = int64(u(0))
-	st.DirtyStripes = int64(u(1))
-	st.Reads = u(2)
-	st.Writes = u(3)
-	st.BytesRead = int64(u(4))
-	st.BytesWritten = int64(u(5))
-	st.ScrubbedStripes = u(6)
-	if b[0] >= 2 {
-		st.ReadP50 = time.Duration(u(7))
-		st.ReadP95 = time.Duration(u(8))
-		st.ReadP99 = time.Duration(u(9))
-		st.WriteP50 = time.Duration(u(10))
-		st.WriteP95 = time.Duration(u(11))
-		st.WriteP99 = time.Duration(u(12))
+	st := make(Stat, n)
+	for i := 0; i < n; i++ {
+		if len(b) < statMinEntry {
+			return nil, fmt.Errorf("%w: stat entry %d", ErrTruncatedFrame, i)
+		}
+		l := int(b[0])
+		if l == 0 {
+			return nil, fmt.Errorf("server: stat entry %d has an empty name", i)
+		}
+		if len(b) < 1+l+8 {
+			return nil, fmt.Errorf("%w: stat entry %d", ErrTruncatedFrame, i)
+		}
+		name := string(b[1 : 1+l])
+		if _, dup := st[name]; dup {
+			return nil, fmt.Errorf("server: stat entry %q repeated", name)
+		}
+		st[name] = binary.BigEndian.Uint64(b[1+l:])
+		b = b[1+l+8:]
 	}
-	if b[0] >= 3 {
-		st.ChecksumDetected = u(13)
-		st.ChecksumRepaired = u(14)
-		st.ChecksumLost = u(15)
-	}
-	if b[0] >= 4 {
-		st.TierFrontHits = u(16)
-		st.TierPromotes = u(17)
-		st.TierDemotes = u(18)
-		st.TierResidentBytes = int64(u(19))
+	if len(b) != 0 {
+		return nil, fmt.Errorf("server: stat payload has %d trailing bytes", len(b))
 	}
 	return st, nil
 }

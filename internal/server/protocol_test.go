@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"afraid/internal/obs"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -42,7 +44,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpWrite, Status: StatusBusy, ID: 8},
 		{Op: OpFlush, Status: StatusIO, ID: 9, Data: []byte("disk 3 write: device failed")},
 		{Op: OpRead, Status: StatusDataLoss, ID: 10, Data: []byte("stripe 12")},
-		{Op: OpStat, Status: StatusOK, ID: 11, Data: appendStat(nil, &Stat{Capacity: 1 << 30, Writes: 42}, 1)},
+		{Op: OpStat, Status: StatusOK, ID: 11, Data: appendStat(nil, []obs.Field{{Name: "core.writes", Value: uint64(42)}})},
 	}
 	for _, want := range cases {
 		t.Run(want.Status.String(), func(t *testing.T) {
@@ -58,24 +60,6 @@ func TestResponseRoundTrip(t *testing.T) {
 				t.Fatalf("data round trip: got %x want %x", got.Data, want.Data)
 			}
 		})
-	}
-}
-
-func TestStatRoundTrip(t *testing.T) {
-	want := Stat{
-		Capacity: 512 << 20, Mode: 0, DirtyStripes: 17,
-		Reads: 1000, Writes: 2000, BytesRead: 1 << 22, BytesWritten: 1 << 23,
-		ScrubbedStripes: 99,
-	}
-	got, err := decodeStat(appendStat(nil, &want, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("stat round trip: got %+v want %+v", got, want)
-	}
-	if got.ModeString() != "afraid" {
-		t.Fatalf("ModeString() = %q, want afraid", got.ModeString())
 	}
 }
 

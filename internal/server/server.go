@@ -14,6 +14,7 @@ import (
 
 	"afraid/internal/bufpool"
 	"afraid/internal/core"
+	"afraid/internal/obs"
 )
 
 // Backend is what the service needs from a store. *core.Store satisfies
@@ -24,9 +25,18 @@ type Backend interface {
 	FlushContext(ctx context.Context) error
 	ParityPointContext(ctx context.Context, off, length int64) error
 	Capacity() int64
-	Mode() core.Mode
 	DirtyStripes() int64
-	Stats() core.Stats
+	// AppendStats appends the store's named counters, layer-prefixed,
+	// for STAT.
+	AppendStats(dst []obs.Field) []obs.Field
+}
+
+// serverStats is the server's own part of the STAT snapshot, published
+// under the "server." prefix.
+type serverStats struct {
+	Capacity                     int64
+	ReadP50, ReadP95, ReadP99    time.Duration
+	WriteP50, WriteP95, WriteP99 time.Duration
 }
 
 // Options configures a Server. The zero value picks sensible defaults.
@@ -351,42 +361,13 @@ func (s *Server) apply(ctx context.Context, r *Request) Response {
 			return s.fail(resp, err)
 		}
 	case OpStat:
-		// The request's Length field advertises the newest STAT payload
-		// version the client understands (0 from pre-versioning clients).
-		ver := statVersionFor(r.Length)
-		st := s.store.Stats()
-		stat := Stat{
-			Capacity:        cap,
-			Mode:            uint8(s.store.Mode()),
-			DirtyStripes:    st.DirtyStripes,
-			Reads:           st.Reads,
-			Writes:          st.Writes,
-			BytesRead:       st.BytesRead,
-			BytesWritten:    st.BytesWritten,
-			ScrubbedStripes: st.ScrubbedStripes,
+		rl, wl := s.metrics.OpLatency(OpRead), s.metrics.OpLatency(OpWrite)
+		own := serverStats{
+			Capacity: cap,
+			ReadP50:  rl.Quantile(0.50), ReadP95: rl.Quantile(0.95), ReadP99: rl.Quantile(0.99),
+			WriteP50: wl.Quantile(0.50), WriteP95: wl.Quantile(0.95), WriteP99: wl.Quantile(0.99),
 		}
-		if ver >= 2 {
-			rl := s.metrics.OpLatency(OpRead)
-			wl := s.metrics.OpLatency(OpWrite)
-			stat.ReadP50, stat.ReadP95, stat.ReadP99 = rl.Quantile(0.50), rl.Quantile(0.95), rl.Quantile(0.99)
-			stat.WriteP50, stat.WriteP95, stat.WriteP99 = wl.Quantile(0.50), wl.Quantile(0.95), wl.Quantile(0.99)
-		}
-		if ver >= 3 {
-			stat.ChecksumDetected = st.ChecksumDetected
-			stat.ChecksumRepaired = st.ChecksumRepaired
-			stat.ChecksumLost = st.ChecksumLost
-		}
-		if ver >= 4 {
-			// Matched structurally so a hybrid backend (tier.Store)
-			// reports its counters without this package importing it; a
-			// bare store simply leaves the quartet zero.
-			if tc, ok := s.store.(interface {
-				TierCounters() (frontHits, promotes, demotes uint64, residentBytes int64)
-			}); ok {
-				stat.TierFrontHits, stat.TierPromotes, stat.TierDemotes, stat.TierResidentBytes = tc.TierCounters()
-			}
-		}
-		resp.Data = appendStat(nil, &stat, ver)
+		resp.Data = appendStat(nil, obs.AppendFields(s.store.AppendStats(nil), "server.", own))
 	default:
 		resp.Status = StatusBadRequest
 		resp.Data = []byte(fmt.Sprintf("unknown op %d", uint8(r.Op)))

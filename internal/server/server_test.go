@@ -83,7 +83,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.ModeString() != "afraid" {
 		t.Fatalf("mode %q, want afraid", st.ModeString())
 	}
-	if st.DirtyStripes == 0 {
+	if st["core.dirty_stripes"] == 0 {
 		t.Fatal("write left no dirty stripes before flush")
 	}
 	if err := c.Flush(ctx); err != nil {
@@ -93,8 +93,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DirtyStripes != 0 {
-		t.Fatalf("dirty stripes after flush = %d", st.DirtyStripes)
+	if d := st["core.dirty_stripes"]; d != 0 {
+		t.Fatalf("dirty stripes after flush = %d", d)
 	}
 
 	// Scrub a specific range (trivially clean after the flush).

@@ -118,11 +118,8 @@ func (s *Store) TierStats() TierStats {
 	return t
 }
 
-// TierCounters exposes the STAT v4 quartet. The method set is matched
-// structurally by the server package, which keeps this package free of
-// a dependency on the wire protocol.
-func (s *Store) TierCounters() (frontHits, promotes, demotes uint64, residentBytes int64) {
-	t := s.TierStats()
-	hits := t.FrontReadHits + t.FrontWriteHits
-	return hits, t.Promotes, t.Demotes, t.ResidentBytes
+// AppendStats appends the back store's STAT entries, then every
+// TierStats counter under the "tier." prefix.
+func (s *Store) AppendStats(dst []obs.Field) []obs.Field {
+	return obs.AppendFields(s.back.AppendStats(dst), "tier.", s.TierStats())
 }

@@ -303,19 +303,12 @@ func globalSlot(pair int, slot int64, slotsPer int64) int64 { return int64(pair)
 // the front is a staging area, not extra space).
 func (s *Store) Capacity() int64 { return s.capacity }
 
-// Mode returns the back tier's redundancy mode.
-func (s *Store) Mode() core.Mode { return s.back.Mode() }
-
 // Geometry returns the back tier's layout.
 func (s *Store) Geometry() layout.Geometry { return s.back.Geometry() }
 
 // DirtyStripes returns the back tier's dirty (parity-stale) stripe
 // count. Front-tier residency is reported separately via TierStats.
 func (s *Store) DirtyStripes() int64 { return s.back.DirtyStripes() }
-
-// Stats returns the back tier's counters (the surface server.Backend
-// wants); tier-specific counters live in TierStats.
-func (s *Store) Stats() core.Stats { return s.back.Stats() }
 
 // Back returns the underlying back-tier store (for repair and
 // parity-check plumbing in tests and the daemon).
